@@ -166,46 +166,38 @@ def _jacobi_kernel(a):
     current incrementally within a sweep and recomputed fresh at each
     sweep start so accumulated round-off cannot fake convergence.
     """
-    n = a.shape[1]
-    u = a.copy()
-    v = np.eye(n)
+    m, n = a.shape
+    # u, v and the Gram matrix g are row blocks of one C-contiguous array
+    # w, so one column rotation turns all three. u keeps the strides of
+    # a.copy() (same BLAS path for u.T @ u), each entry is rounded as
+    # before and Python floats round as numpy scalars: results are bit
+    # for bit unchanged. np.hypot stays: math.hypot differs in the last bit.
+    w = np.concatenate((a, np.eye(n), np.empty((n, n))))
+    u, v, g = np.split(w, (m, m + n))
     for _ in range(JACOBI_MAX_SWEEPS):
-        g = u.T @ u
+        g[:] = u.T @ u
         rotated = False
         for p in range(n - 1):
             for q_ in range(p + 1, n):
-                app = g[p, p]
-                aqq = g[q_, q_]
-                apq = g[p, q_]
+                app, aqq, apq = g.item(p, p), g.item(q_, q_), g.item(p, q_)
                 if app == 0.0 or aqq == 0.0:
                     continue
-                if abs(apq) <= JACOBI_TOL * np.sqrt(app * aqq):
+                # Round-off can make prod < 0 mid-sweep: such pairs rotate.
+                prod = app * aqq
+                if prod >= 0.0 and abs(apq) <= JACOBI_TOL * math.sqrt(prod):
                     continue
                 rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
+                # apq == 0 here only if prod < 0; zeta is then infinite.
+                zeta = ((aqq - app) / (2.0 * apq) if apq
+                        else math.copysign(math.inf, (aqq - app) * apq))
+                t = (math.copysign(1.0, zeta) / (abs(zeta) + np.hypot(1.0, zeta))
+                     if zeta != 0.0 else 1.0)
                 c = 1.0 / np.hypot(1.0, t)
                 s = c * t
-                for mat in (u, v):
-                    col_p = c * mat[:, p] - s * mat[:, q_]
-                    col_q = s * mat[:, p] + c * mat[:, q_]
-                    mat[:, p] = col_p
-                    mat[:, q_] = col_q
-                # Two-sided rotation of the Gram matrix, exact zero
-                # in the annihilated pair.
-                gp = c * g[:, p] - s * g[:, q_]
-                gq = s * g[:, p] + c * g[:, q_]
-                g[:, p] = gp
-                g[:, q_] = gq
-                rp = c * g[p, :] - s * g[q_, :]
-                rq = s * g[p, :] + c * g[q_, :]
-                g[p, :] = rp
-                g[q_, :] = rq
-                g[p, q_] = 0.0
-                g[q_, p] = 0.0
+                # Columns of u, v and g, then rows of g: exact zero in (p, q).
+                _rotate(w[:, p], w[:, q_], c, s)
+                _rotate(g[p], g[q_], c, s)
+                g[p, q_] = g[q_, p] = 0.0
         if not rotated:
             break
     else:
@@ -216,8 +208,7 @@ def _jacobi_kernel(a):
     sigma = np.linalg.norm(u, axis=0)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
-    u = u[:, order]
-    v = v[:, order]
+    u, v = u[:, order], v[:, order]
 
     # Normalize columns; complete an orthonormal basis where sigma == 0.
     nonzero = sigma > 0.0
@@ -225,6 +216,15 @@ def _jacobi_kernel(a):
     if not nonzero.all():
         u = _complete_basis(u, np.flatnonzero(~nonzero))
     return u, sigma, v
+
+
+def _rotate(x, y, c, s):
+    """In place: x, y <- c*x - s*y, s*x + c*y, rounded as written."""
+    sx = s * x
+    x *= c
+    x -= s * y
+    y *= c
+    y += sx
 
 
 def _complete_basis(u, missing):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from qrlev import linalg
+from qrlev.generate import random_orthonormal, randsvd_matrix, stepped_gaussian
 from qrlev.linalg import (
+    ConvergenceError,
     as_matrix,
     gram_residual,
     householder_qr,
@@ -221,3 +224,110 @@ def test_extreme_magnitudes_prescaled(scale):
     res1 = jacobi_svd(a * scale)
     np.testing.assert_allclose(res1.sigma / scale, res0.sigma, rtol=1e-12)
     assert np.isfinite(res1.u).all()
+
+
+def _reference_kernel(a):
+    """
+    The rotation-by-rotation one-sided Jacobi kernel that
+    linalg._jacobi_kernel must reproduce bit for bit: u, v and the
+    Gram matrix are separate arrays, each rotated with fresh temporaries.
+    """
+    n = a.shape[1]
+    u = a.copy()
+    v = np.eye(n)
+    for _ in range(linalg.JACOBI_MAX_SWEEPS):
+        g = u.T @ u
+        rotated = False
+        for p in range(n - 1):
+            for q_ in range(p + 1, n):
+                app, aqq, apq = g[p, p], g[q_, q_], g[p, q_]
+                if app == 0.0 or aqq == 0.0:
+                    continue
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    if abs(apq) <= linalg.JACOBI_TOL * np.sqrt(app * aqq):
+                        continue
+                    rotated = True
+                    zeta = (aqq - app) / (2.0 * apq)
+                if zeta == 0.0:
+                    t = 1.0
+                else:
+                    t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
+                c = 1.0 / np.hypot(1.0, t)
+                s = c * t
+                for mat in (u, v):
+                    col_p = c * mat[:, p] - s * mat[:, q_]
+                    col_q = s * mat[:, p] + c * mat[:, q_]
+                    mat[:, p] = col_p
+                    mat[:, q_] = col_q
+                gp = c * g[:, p] - s * g[:, q_]
+                gq = s * g[:, p] + c * g[:, q_]
+                g[:, p] = gp
+                g[:, q_] = gq
+                rp = c * g[p, :] - s * g[q_, :]
+                rq = s * g[p, :] + c * g[q_, :]
+                g[p, :] = rp
+                g[q_, :] = rq
+                g[p, q_] = 0.0
+                g[q_, p] = 0.0
+        if not rotated:
+            break
+    else:
+        raise ConvergenceError("reference kernel did not converge")
+    sigma = np.linalg.norm(u, axis=0)
+    order = np.argsort(-sigma, kind="stable")
+    sigma = sigma[order]
+    u = u[:, order]
+    v = v[:, order]
+    nonzero = sigma > 0.0
+    u[:, nonzero] /= sigma[nonzero]
+    if not nonzero.all():
+        u = linalg._complete_basis(u, np.flatnonzero(~nonzero))
+    return u, sigma, v
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(2024)
+    cases = {f"gaussian n={n}": rng.standard_normal((n, n)) for n in (1, 2, 3, 25)}
+    for kappa in (1e2, 1e4, 1e6):
+        cases[f"randsvd kappa={kappa:g}"] = randsvd_matrix(25, 25, kappa, rng)
+    graded = np.logspace(0, 4, 25)[:, None] * rng.standard_normal((25, 25))
+    cases["rows graded 1 to 1e4"] = graded
+    cases["R of the stepped Gaussian"] = householder_qr(stepped_gaussian(rng)).r
+    zero_col = rng.standard_normal((6, 6))
+    zero_col[:, 2] = 0.0
+    cases["zero column"] = zero_col
+    # Equal Gram diagonal and nonzero off-diagonal: zeta == 0 exactly.
+    cases["2x2 equal diagonal"] = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for k in (3, 25):
+        q1 = random_orthonormal(60, k, rng)
+        q2 = random_orthonormal(60, k, rng)
+        cases[f"q1.T @ q2, k={k}"] = q1.T @ q2
+    # Rank deficient: round-off drives a tracked Gram diagonal below
+    # zero mid-sweep, and a pair with a zero Gram entry then rotates.
+    for seed, n in ((22, 3), (13, 4)):
+        dup = np.random.default_rng(seed).standard_normal((n, n))
+        dup[:, 1] = 3.0 * dup[:, 0]
+        cases[f"column 1 = 3 x column 0, n={n}"] = dup
+    return cases
+
+
+KERNEL_INPUTS = _kernel_inputs()
+
+
+@pytest.mark.parametrize("name", list(KERNEL_INPUTS))
+def test_jacobi_kernel_byte_identical_to_reference(name):
+    a = KERNEL_INPUTS[name]
+    got = linalg._jacobi_kernel(a.copy())
+    want = _reference_kernel(a.copy())
+    for label, x, y in zip(("u", "sigma", "v"), got, want):
+        assert x.shape == y.shape, label
+        assert x.tobytes() == y.tobytes(), f"{label} differs on {name}"
+
+
+def test_jacobi_convergence_error_at_sweep_limit(monkeypatch):
+    # The limit is read at call time; one sweep cannot diagonalize the
+    # Gram matrix of a 25 x 25 Gaussian.
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    a = np.random.default_rng(8).standard_normal((25, 25))
+    with pytest.raises(ConvergenceError, match="1 sweeps"):
+        jacobi_svd(a)
