@@ -16,5 +16,6 @@ out_dir = os.path.join(os.path.dirname(__file__), "out")
 
 for number in range(1, 6):
     cfg = ExperimentConfig(figure=f"fig{number}", seed=SEED, output_dir=out_dir)
-    rows, csv_path, svg_path = run_figure(cfg)
-    print(f"fig{number}: {len(rows)} rows -> {csv_path}, {svg_path}")
+    panels, csv_path, svg_path = run_figure(cfg)
+    n_rows = sum(len(p.ell) for p in panels)
+    print(f"fig{number}: {n_rows} rows -> {csv_path}, {svg_path}")

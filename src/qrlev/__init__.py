@@ -16,6 +16,7 @@ from .bounds import (
     bound_t3_2,
     bound_t3_3,
     bound_t3_4,
+    check_policy,
     delta_q_first_order,
     first_order_policy_ok,
     qr_q_difference,
@@ -25,7 +26,7 @@ from .bounds import (
 from .experiments import (
     BoundViolationError,
     ExperimentConfig,
-    FigureRow,
+    FigurePanel,
     emit_csv,
     emit_svg,
     parse_csv,

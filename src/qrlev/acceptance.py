@@ -18,29 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import principal_angles, sin_theta_max_projector
-from .bounds import bound_t1, bound_t3_3, delta_q_first_order, qr_q_difference, rdot_rinv, sandwich_holds
-from .experiments import ExperimentConfig, FIGURE_RUNNERS, run_figure
-from .generate import (
-    gaussian_matrix,
-    random_orthonormal,
-    randsvd_matrix,
-    stepped_gaussian,
-    stepped_orthonormal,
+from .bounds import (
+    bound_t1,
+    bound_t3_3,
+    check_policy,
+    delta_q_first_order,
+    qr_q_difference,
+    rdot_rinv,
+    sandwich_holds,
 )
-from .leverage import (
-    leverage_from_basis,
-    leverage_qr,
-    leverage_svd,
-    matrix_stats,
-    relative_diffs,
-)
+from .experiments import ExperimentConfig, FIGURE_RUNNERS, fig4_panels, run_figure
+from .generate import gaussian_matrix, random_orthonormal, randsvd_matrix
+from .leverage import leverage_from_basis, leverage_qr, leverage_svd, matrix_stats
 from .linalg import householder_qr, project_complement, solve_upper
-from .perturb import (
-    measure,
-    rotation_perturbation,
-    row_subset_perturbation,
-    same_row_scaling_perturbation,
-)
+from .perturb import measure, rotation_perturbation
 
 DEFAULT_SEED = 42
 
@@ -71,37 +62,12 @@ def _rngs(seed, label, count):
     return [np.random.default_rng(c) for c in ss.spawn(count)]
 
 
-def _figure_rows(ctx, figure):
+def _figure(ctx, figure):
+    """The figure's panels by name, run once per ctx."""
     if figure not in ctx["figures"]:
         cfg = ExperimentConfig(figure=figure, seed=ctx["seed"])
-        ctx["figures"][figure] = FIGURE_RUNNERS[figure](cfg)
+        ctx["figures"][figure] = {p.name: p for p in FIGURE_RUNNERS[figure](cfg)}
     return ctx["figures"][figure]
-
-
-def _panel(rows, panel):
-    group = [r for r in rows if r.panel == panel]
-    group.sort(key=lambda r: r.j)
-    return {
-        "ell": np.array([r.ell for r in group]),
-        "ell_tilde": np.array([r.ell_tilde for r in group]),
-        "rel": np.array([r.rel_diff for r in group]),
-        "bound": np.array([r.bound for r in group]),
-        "theorem": group[0].theorem if group else None,
-    }
-
-
-def _exact_ok(observed, bound):
-    defined = ~(np.isnan(observed) | np.isnan(bound))
-    bad = observed[defined] > bound[defined] * 1.001 + 1e-12
-    return int(bad.sum())
-
-
-def _first_order_stats(observed, bound):
-    defined = ~(np.isnan(observed) | np.isnan(bound))
-    obs, bnd = observed[defined], bound[defined]
-    frac = float(np.mean(obs <= bnd))
-    worst = float(np.max(obs / bnd))
-    return frac, worst
 
 
 # --------------------------------------------------------------------------
@@ -169,31 +135,20 @@ def criterion_3(ctx):
 
 def criterion_4(ctx):
     """Exact bound inequalities on every figure instance."""
-    violations = []
-    rows1 = _figure_rows(ctx, "fig1")
-    for panel in ("b", "c", "d"):
-        p = _panel(rows1, panel)
-        n_c1 = _exact_ok(p["rel"], p["bound"])
+    cases = []
+    for p in (_figure(ctx, "fig1")[name] for name in "bcd"):
+        cases.append(("C1_rel", "fig1", p.name, p.rel_diff, p.bound))
         # The absolute-difference bound is the relative bound times
-        # the score, so it is checked from the same rows.
-        obs_abs = np.abs(p["ell_tilde"] - p["ell"])
-        n_t1 = _exact_ok(obs_abs, p["bound"] * p["ell"])
-        if n_c1:
-            violations.append(f"C1_rel fig1/{panel}:{n_c1}")
-        if n_t1:
-            violations.append(f"T1_abs fig1/{panel}:{n_t1}")
-    rows2 = _figure_rows(ctx, "fig2")
-    for panel in ("c", "d", "e", "f"):
-        p = _panel(rows2, panel)
-        n_bad = _exact_ok(p["rel"], p["bound"])
+        # the score, so it is checked from the same panel.
+        cases.append(("T1_abs", "fig1", p.name, np.abs(p.ell_tilde - p.ell), p.bound * p.ell))
+    for figure, names in (("fig2", "cdef"), ("fig3", "ab")):
+        for p in (_figure(ctx, figure)[name] for name in names):
+            cases.append((p.theorem, figure, p.name, p.rel_diff, p.bound))
+    violations = []
+    for theorem, figure, name, observed, bound in cases:
+        n_bad = check_policy(observed, bound, first_order=False).violations
         if n_bad:
-            violations.append(f"{p['theorem']} fig2/{panel}:{n_bad}")
-    rows3 = _figure_rows(ctx, "fig3")
-    for panel in ("a", "b"):
-        p = _panel(rows3, panel)
-        n_bad = _exact_ok(p["rel"], p["bound"])
-        if n_bad:
-            violations.append(f"T3_1 fig3/{panel}:{n_bad}")
+            violations.append(f"{theorem} {figure}/{name}:{n_bad}")
     passed = not violations
     return CriterionResult(
         4,
@@ -247,24 +202,18 @@ def criterion_6(ctx):
     """First-order bounds at magnitude 1e-8 with the outlier policy."""
     failures = []
     details = []
-    rows4 = _figure_rows(ctx, "fig4")
-    for panel in ("a", "b"):
-        p = _panel(rows4, panel)
-        frac, worst = _first_order_stats(p["rel"], p["bound"])
-        details.append(f"T3_2/{panel} frac {frac:.3f} worst {worst:.2f}")
-        if frac < 0.99 or worst > 10.0:
-            failures.append(f"T3_2 fig4/{panel}")
-    for panel, (frac, worst) in ctx["fig4_t3_3"].items():
-        details.append(f"T3_3/{panel} frac {frac:.3f} worst {worst:.2f}")
-        if frac < 0.99 or worst > 10.0:
-            failures.append(f"T3_3 fig4/{panel}")
-    rows5 = _figure_rows(ctx, "fig5")
-    for panel in ("a", "b"):
-        p = _panel(rows5, panel)
-        frac, worst = _first_order_stats(p["rel"], p["bound"])
-        details.append(f"T3_4/{panel} frac {frac:.3f} worst {worst:.2f}")
-        if frac < 0.99 or worst > 10.0:
-            failures.append(f"T3_4 fig5/{panel}")
+    for figure, panels in (
+        ("fig4", _figure(ctx, "fig4")),
+        ("fig4", ctx["fig4_t3_3"]),
+        ("fig5", _figure(ctx, "fig5")),
+    ):
+        for p in (panels["a"], panels["b"]):
+            check = check_policy(p.rel_diff, p.bound, first_order=True)
+            details.append(
+                f"{p.theorem}/{p.name} frac {check.frac:.3f} worst {check.worst:.2f}"
+            )
+            if not check.ok:
+                failures.append(f"{p.theorem} {figure}/{p.name}")
     passed = not failures
     return CriterionResult(
         6,
@@ -280,11 +229,9 @@ def _block_maxes(rel):
 
 def criterion_7(ctx):
     """Figure 1 block-max decade profile and panel scaling."""
-    rows = _figure_rows(ctx, "fig1")
-    pb = _panel(rows, "b")
-    pc = _panel(rows, "c")
-    maxes_b = _block_maxes(pb["rel"])
-    maxes_c = _block_maxes(pc["rel"])
+    fig1 = _figure(ctx, "fig1")
+    maxes_b = _block_maxes(fig1["b"].rel_diff)
+    maxes_c = _block_maxes(fig1["c"].rel_diff)
     in_decade = [
         t / 10 <= m <= t * 10 for m, t in zip(maxes_b, BLOCK_MAX_TARGETS)
     ]
@@ -303,14 +250,12 @@ def criterion_7(ctx):
 
 def criterion_8(ctx):
     """Figure 3 decade profile and accuracy loss at 1e-5."""
-    rows = _figure_rows(ctx, "fig3")
-    pa = _panel(rows, "a")
-    pb = _panel(rows, "b")
-    maxes_a = _block_maxes(pa["rel"])
+    fig3 = _figure(ctx, "fig3")
+    maxes_a = _block_maxes(fig3["a"].rel_diff)
     in_decade = [
         t / 10 <= m <= t * 10 for m, t in zip(maxes_a, BLOCK_MAX_TARGETS)
     ]
-    smallest_block_max = float(np.nanmax(pb["rel"][BLOCKS[0]]))
+    smallest_block_max = float(np.nanmax(fig3["b"].rel_diff[BLOCKS[0]]))
     passed = all(in_decade) and smallest_block_max >= 0.1
     return CriterionResult(
         8,
@@ -324,18 +269,15 @@ def criterion_8(ctx):
 
 def criterion_9(ctx):
     """Figure 4 locality and row-scaling uniformity."""
-    rows = _figure_rows(ctx, "fig4")
-    pa = _panel(rows, "a")
-    pb = _panel(rows, "b")
-    pert = float(np.nanmax(pa["rel"][500:750]))
-    unpert = float(
-        max(np.nanmax(pa["rel"][:500]), np.nanmax(pa["rel"][750:]))
-    )
+    fig4 = _figure(ctx, "fig4")
+    rel_a = fig4["a"].rel_diff
+    pert = float(np.nanmax(rel_a[500:750]))
+    unpert = float(max(np.nanmax(rel_a[:500]), np.nanmax(rel_a[750:])))
     ratio = pert / unpert
     # "Span" of panel (b) is read over the central 90 percent of rows:
     # the extreme min of |N(0, s)|-like samples is arbitrarily small,
     # so a strict min/max span is unbounded for any sample this size.
-    q5, q95 = np.nanquantile(pb["rel"], [0.05, 0.95])
+    q5, q95 = np.nanquantile(fig4["b"].rel_diff, [0.05, 0.95])
     span = float(q95 / q5)
     passed = ratio >= 10.0 and span <= 100.0
     return CriterionResult(
@@ -349,16 +291,15 @@ def criterion_9(ctx):
 
 def criterion_10(ctx):
     """Figure 5 independence from conditioning and score size."""
-    rows = _figure_rows(ctx, "fig5")
-    pa = _panel(rows, "a")
-    pb = _panel(rows, "b")
-    med_a = float(np.nanmedian(pa["rel"]))
-    med_b = float(np.nanmedian(pb["rel"]))
+    fig5 = _figure(ctx, "fig5")
+    rel_a, rel_b = fig5["a"].rel_diff, fig5["b"].rel_diff
+    med_a = float(np.nanmedian(rel_a))
+    med_b = float(np.nanmedian(rel_b))
     cond_ratio = max(med_a, med_b) / min(med_a, med_b)
     block_ok = True
     block_spreads = []
-    for p in (pa, pb):
-        meds = [float(np.nanmedian(p["rel"][b])) for b in BLOCKS]
+    for rel in (rel_a, rel_b):
+        meds = [float(np.nanmedian(rel[b])) for b in BLOCKS]
         spread = max(meds) / min(meds)
         block_spreads.append(spread)
         block_ok = block_ok and spread <= 10.0
@@ -488,26 +429,6 @@ def _build_ensemble(seed):
     return items
 
 
-def _fig4_projected_stats(seed):
-    """T3_3 evaluated on the figure-4 perturbations (same sub-streams)."""
-    ss = np.random.SeedSequence(seed).spawn(3)
-    rngs = [np.random.default_rng(c) for c in ss]
-    a = stepped_orthonormal(rngs[0])
-    lev = leverage_qr(a)
-    stats = matrix_stats(a)
-    deltas = {
-        "a": row_subset_perturbation(a, 500, 750, 1e-8, rngs[1]),
-        "b": same_row_scaling_perturbation(stepped_gaussian(rngs[2]), 1e-8),
-    }
-    out = {}
-    for panel, delta in deltas.items():
-        metrics = measure(a, delta)
-        rel = relative_diffs(lev, leverage_qr(a + delta))
-        report = bound_t3_3(stats, metrics, observed=rel)
-        out[panel] = _first_order_stats(rel, report.per_index_bound)
-    return out
-
-
 CRITERIA = (
     criterion_1,
     criterion_2,
@@ -531,7 +452,10 @@ def run_all(seed=DEFAULT_SEED):
         "seed": seed,
         "figures": {},
         "ensemble": _build_ensemble(seed),
-        "fig4_t3_3": _fig4_projected_stats(seed),
+        "fig4_t3_3": {
+            p.name: p
+            for p in fig4_panels(ExperimentConfig(figure="fig4", seed=seed), bound_t3_3)
+        },
     }
     results = []
     for number, fn in enumerate(CRITERIA, start=1):

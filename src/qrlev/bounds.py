@@ -18,25 +18,18 @@ T3_4         first order, componentwise row-scaled perturbations
 The exact bounds (T1, C1, T2, T3_1) carry no dropped terms and must
 hold outright; T3_2 through T3_4 are first order, so verification
 allows the documented outlier slack (99 percent of indices within the
-bound, all indices within 10x).
+bound, all indices within 10x). check_policy is the one place either
+rule is applied.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    as_matrix,
-    householder_qr,
-    jacobi_svd,
-    solve_upper,
-    triu_half,
-    two_norm,
-)
-from .leverage import RANK_TOL_FACTOR
-from .linalg import RankDeficiencyError
+from .leverage import full_rank_qr
+from .linalg import as_matrix, solve_upper, triu_half, two_norm
 
-EXACT_TAGS = ("T1_abs", "T1_sandwich", "C1_rel", "T2_perp", "T2_gen", "T3_1")
 FIRST_ORDER_TAGS = ("T3_2", "T3_3", "T3_4")
 
 # Slack for exact bounds: floating-point evaluation of both sides only.
@@ -52,18 +45,69 @@ class HypothesisError(ValueError):
     """Perturbation is too large for the requested bound to apply."""
 
 
+@dataclass(frozen=True)
+class PolicyCheck:
+    """Outcome of the bound-holds policy on one set of indices."""
+
+    holds: np.ndarray  # per index; True where observed or bound is NaN
+    frac: float        # share of defined indices that hold (NaN if none)
+    worst: float       # largest observed / bound over defined indices (NaN if none)
+    ok: bool           # the set as a whole passes the policy
+
+    @property
+    def violations(self):
+        return int(np.count_nonzero(~self.holds))
+
+
+def check_policy(observed, bound, first_order):
+    """
+    The bound-holds policy, the only reader of its four constants.
+
+    An exact bound holds at an index when
+    observed <= bound * (1 + EXACT_REL_SLACK) + EXACT_ABS_SLACK, and
+    passes when it holds at every index. A first-order bound holds at
+    an index when observed <= bound, and passes when it holds at
+    FIRST_ORDER_HOLD_FRACTION of the indices and observed stays within
+    FIRST_ORDER_CAP times the bound everywhere. Indices where either
+    side is NaN are undefined: they hold and are left out of frac and
+    worst.
+    """
+    observed = np.asarray(observed, dtype=np.float64)
+    bound = np.asarray(bound, dtype=np.float64)
+    defined = ~(np.isnan(observed) | np.isnan(bound))
+    obs, bnd = observed[defined], bound[defined]
+    if first_order:
+        within = obs <= bnd
+    else:
+        within = obs <= bnd * (1.0 + EXACT_REL_SLACK) + EXACT_ABS_SLACK
+    holds = np.ones(observed.shape, dtype=bool)
+    holds[defined] = within
+    if not defined.any():
+        return PolicyCheck(holds, math.nan, math.nan, True)
+    frac = float(np.mean(within))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = float(np.max(obs / bnd))
+    if first_order:
+        ok = frac >= FIRST_ORDER_HOLD_FRACTION and np.all(obs <= FIRST_ORDER_CAP * bnd)
+    else:
+        ok = within.all()
+    return PolicyCheck(holds, frac, worst, bool(ok))
+
+
 @dataclass
 class BoundReport:
     """Evaluated bound with optional observed differences."""
 
     theorem: str
     per_index_bound: np.ndarray
-    inputs_digest: dict = field(default_factory=dict)
     observed: np.ndarray = None
     holds: np.ndarray = None
     lower: np.ndarray = None   # sandwich only
     upper: np.ndarray = None   # sandwich only
-    first_order: bool = False
+
+    @property
+    def first_order(self):
+        return self.theorem in FIRST_ORDER_TAGS
 
 
 def _attach(report, observed):
@@ -73,35 +117,18 @@ def _attach(report, observed):
     if observed.shape != report.per_index_bound.shape:
         raise ValueError("observed differences have the wrong length")
     report.observed = observed
-    ok = np.ones(observed.shape, dtype=bool)
-    defined = ~(np.isnan(observed) | np.isnan(report.per_index_bound))
-    if report.first_order:
-        ok[defined] = observed[defined] <= report.per_index_bound[defined]
-    else:
-        ok[defined] = (
-            observed[defined]
-            <= report.per_index_bound[defined] * (1.0 + EXACT_REL_SLACK)
-            + EXACT_ABS_SLACK
-        )
-    report.holds = ok
+    report.holds = check_policy(observed, report.per_index_bound, report.first_order).holds
     return report
 
 
 def first_order_policy_ok(report):
     """
-    Aggregate check for a first-order report: the bound holds at 99
-    percent of defined indices and within a factor of 10 everywhere.
+    Aggregate check for a first-order report under check_policy's
+    first-order outlier policy.
     """
     if report.observed is None:
         raise ValueError("report has no observed differences attached")
-    obs = report.observed
-    bnd = report.per_index_bound
-    defined = ~(np.isnan(obs) | np.isnan(bnd))
-    if not defined.any():
-        return True
-    frac = np.mean(obs[defined] <= bnd[defined])
-    capped = np.all(obs[defined] <= FIRST_ORDER_CAP * bnd[defined])
-    return bool(frac >= FIRST_ORDER_HOLD_FRACTION and capped)
+    return check_policy(report.observed, report.per_index_bound, first_order=True).ok
 
 
 def _as_scores(lev):
@@ -119,7 +146,7 @@ def _safe_ratio(num, lev):
     return out
 
 
-def bound_t1(lev, angles, observed=None, m_equals_2n=None):
+def bound_t1(lev, angles, observed=None):
     """
     Absolute-difference bound from principal angles:
     2 sqrt(l (1 - l)) cos(theta_min) sin(theta_max) + sin(theta_max)**2.
@@ -133,14 +160,8 @@ def bound_t1(lev, angles, observed=None, m_equals_2n=None):
     sn = angles.sin_theta_max
     clipped = np.clip(lev, 0.0, 1.0)
     bound = 2.0 * np.sqrt(clipped * (1.0 - clipped)) * c1 * sn + sn**2
-    if m_equals_2n is None:
-        m_equals_2n = lev.shape[0] == 2 * angles.cosines.shape[0]
-    report = BoundReport(
-        theorem="T1_abs",
-        per_index_bound=bound,
-        inputs_digest={"cos_theta_min": c1, "sin_theta_max": sn},
-    )
-    if m_equals_2n:
+    report = BoundReport(theorem="T1_abs", per_index_bound=bound)
+    if lev.shape[0] == 2 * angles.cosines.shape[0]:
         root = np.sqrt(clipped)
         co_root = np.sqrt(1.0 - clipped)
         report.lower = 1.0 - (sn * root + c1 * co_root) ** 2
@@ -168,14 +189,7 @@ def bound_c1(lev, angles, observed=None):
     clipped = np.clip(lev, 0.0, 1.0)
     term1 = 2.0 * np.sqrt(_safe_ratio(1.0 - clipped, clipped)) * c1 * sn
     bound = term1 + _safe_ratio(sn**2, clipped)
-    return _attach(
-        BoundReport(
-            theorem="C1_rel",
-            per_index_bound=bound,
-            inputs_digest={"cos_theta_min": c1, "sin_theta_max": sn},
-        ),
-        observed,
-    )
+    return _attach(BoundReport(theorem="C1_rel", per_index_bound=bound), observed)
 
 
 def _check_hypothesis(product, limit, strict, tag):
@@ -208,19 +222,8 @@ def bound_t2(lev, stats, metrics, observed=None):
     ke = kappa * metrics.eps_two
     gen = (2.0 * ratio + _safe_ratio(ke, clipped)) * ke
 
-    digest = {
-        "kappa2": kappa,
-        "eps_two": metrics.eps_two,
-        "eps_two_perp": metrics.eps_two_perp,
-    }
-    projected = _attach(
-        BoundReport(theorem="T2_perp", per_index_bound=proj, inputs_digest=dict(digest)),
-        observed,
-    )
-    general = _attach(
-        BoundReport(theorem="T2_gen", per_index_bound=gen, inputs_digest=dict(digest)),
-        observed,
-    )
+    projected = _attach(BoundReport(theorem="T2_perp", per_index_bound=proj), observed)
+    general = _attach(BoundReport(theorem="T2_gen", per_index_bound=gen), observed)
     return projected, general
 
 
@@ -239,18 +242,7 @@ def bound_t3_1(lev, stats, metrics, observed=None):
     kse = kappa * np.sqrt(stats.stable_rank) * metrics.eps_fro
     ratio = np.sqrt(_safe_ratio(1.0 - clipped, clipped))
     bound = 12.0 * (ratio + _safe_ratio(3.0 * kse, clipped)) * kse
-    return _attach(
-        BoundReport(
-            theorem="T3_1",
-            per_index_bound=bound,
-            inputs_digest={
-                "kappa2": kappa,
-                "stable_rank": stats.stable_rank,
-                "eps_fro": metrics.eps_fro,
-            },
-        ),
-        observed,
-    )
+    return _attach(BoundReport(theorem="T3_1", per_index_bound=bound), observed)
 
 
 def bound_t3_2(stats, metrics, observed=None):
@@ -266,19 +258,7 @@ def bound_t3_2(stats, metrics, observed=None):
     _check_hypothesis(metrics.eps_two * kappa, 1.0, True, "T3_2")
     global_term = np.sqrt(2.0 * stats.stable_rank) * metrics.eps_fro
     bound = 2.0 * (metrics.eps_row + global_term) * kappa
-    return _attach(
-        BoundReport(
-            theorem="T3_2",
-            per_index_bound=bound,
-            inputs_digest={
-                "kappa2": kappa,
-                "stable_rank": stats.stable_rank,
-                "eps_fro": metrics.eps_fro,
-            },
-            first_order=True,
-        ),
-        observed,
-    )
+    return _attach(BoundReport(theorem="T3_2", per_index_bound=bound), observed)
 
 
 def bound_t3_3(stats, metrics, observed=None):
@@ -292,19 +272,7 @@ def bound_t3_3(stats, metrics, observed=None):
     _check_hypothesis(metrics.eps_two * kappa, 0.5, False, "T3_3")
     global_term = np.sqrt(2.0 * stats.stable_rank) * metrics.eps_fro_perp
     bound = 4.0 * (metrics.eps_row_perp + global_term) * kappa
-    return _attach(
-        BoundReport(
-            theorem="T3_3",
-            per_index_bound=bound,
-            inputs_digest={
-                "kappa2": kappa,
-                "stable_rank": stats.stable_rank,
-                "eps_fro_perp": metrics.eps_fro_perp,
-            },
-            first_order=True,
-        ),
-        observed,
-    )
+    return _attach(BoundReport(theorem="T3_3", per_index_bound=bound), observed)
 
 
 def bound_t3_4(eta, n, kappa2=None, observed=None):
@@ -327,15 +295,7 @@ def bound_t3_4(eta, n, kappa2=None, observed=None):
             f"T3_4 needs max(eta) * kappa2 < 1, got {eta_max * kappa2:.3e}"
         )
     bound = 2.0 * (eta + np.sqrt(2.0) * n * eta_max)
-    return _attach(
-        BoundReport(
-            theorem="T3_4",
-            per_index_bound=bound,
-            inputs_digest={"eta_max": eta_max, "n": n, "kappa2": kappa2},
-            first_order=True,
-        ),
-        observed,
-    )
+    return _attach(BoundReport(theorem="T3_4", per_index_bound=bound), observed)
 
 
 @dataclass(frozen=True)
@@ -344,22 +304,6 @@ class RdotRinv:
 
     matrix: np.ndarray  # n x n upper triangular
     fro_norm: float
-
-
-def _qr_full_rank(a):
-    a = as_matrix(a, "a")
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"need m >= n, got shape {a.shape}")
-    q, r = householder_qr(a)
-    sigma = jacobi_svd(r).sigma
-    if sigma[0] == 0.0 or sigma[-1] <= RANK_TOL_FACTOR * m * sigma[0]:
-        ratio = sigma[-1] / sigma[0] if sigma[0] > 0 else 0.0
-        raise RankDeficiencyError(
-            f"matrix is numerically rank deficient: sigma_min/sigma_max = {ratio:.3e}",
-            ratio=ratio,
-        )
-    return q, r, sigma
 
 
 def rdot_rinv(a, delta):
@@ -382,7 +326,7 @@ def rdot_rinv(a, delta):
     eps_f = float(np.linalg.norm(delta, "fro")) / float(np.linalg.norm(a, "fro"))
     if eps_f == 0.0:
         raise ValueError("delta must be nonzero")
-    q, r, _ = _qr_full_rank(a)
+    q, r, _ = full_rank_qr(a)
     # c = (q.T delta) r**-1 via a triangular solve on the transpose.
     c = solve_upper(r, (q.T @ delta).T, transpose=True).T
     matrix = triu_half(c + c.T) / eps_f
@@ -403,7 +347,7 @@ def delta_q_first_order(a, delta):
     delta = as_matrix(delta, "delta")
     if not delta.any():
         return np.zeros_like(a)
-    q, r, sigma = _qr_full_rank(a)
+    q, r, sigma = full_rank_qr(a)
     product = two_norm(delta) / float(sigma[-1])
     if not product < 1.0:
         raise HypothesisError(
@@ -423,7 +367,7 @@ def qr_q_difference(a, delta):
     unique up to column signs; alignment uses the diagonal of
     q.T q_tilde).
     """
-    q, _, _ = _qr_full_rank(a)
-    q_tilde, _, _ = _qr_full_rank(as_matrix(a, "a") + as_matrix(delta, "delta"))
+    q, _, _ = full_rank_qr(a)
+    q_tilde, _, _ = full_rank_qr(as_matrix(a, "a") + as_matrix(delta, "delta"))
     signs = np.where(np.diag(q.T @ q_tilde) < 0.0, -1.0, 1.0)
     return q_tilde * signs - q

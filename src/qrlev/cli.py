@@ -37,7 +37,7 @@ from .angles import principal_angles
 from .experiments import (
     BoundViolationError,
     ExperimentConfig,
-    FigureRow,
+    FigurePanel,
     emit_csv,
     run_figure,
 )
@@ -223,31 +223,15 @@ def cmd_bounds(args):
         else:
             reports = [bound_t3_3(stats, metrics, observed=rel)]
 
-    rows = []
-    for report in reports:
-        for j in range(lev.shape[0]):
-            rows.append(
-                FigureRow(
-                    j=j,
-                    ell=float(lev[j]),
-                    ell_tilde=float(lev_tilde[j]),
-                    rel_diff=float(report.observed[j]),
-                    bound=float(report.per_index_bound[j]),
-                    theorem=report.theorem,
-                    panel=report.theorem,
-                )
-            )
+    panels = [FigurePanel.from_report(r.theorem, lev, lev_tilde, r) for r in reports]
     if args.format == "json":
         text = json.dumps(
             [
-                {
-                    "theorem": r.theorem,
-                    "j": r.j,
-                    "ell": r.ell,
-                    "observed": r.rel_diff,
-                    "bound": r.bound,
-                }
-                for r in rows
+                {"theorem": p.theorem, "j": j, "ell": ell, "observed": obs, "bound": bnd}
+                for p in panels
+                for j, (ell, obs, bnd) in enumerate(
+                    zip(p.ell.tolist(), p.rel_diff.tolist(), p.bound.tolist())
+                )
             ]
         ) + "\n"
         if args.out:
@@ -258,7 +242,7 @@ def cmd_bounds(args):
             sys.stdout.write(text)
     else:
         out = args.out or "bounds.csv"
-        emit_csv(rows, out)
+        emit_csv(panels, out)
         print(out)
     return 0
 

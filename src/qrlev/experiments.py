@@ -6,7 +6,8 @@ Each runner generates its matrices and perturbations from an explicit
 seed (sub-streams are spawned in a fixed documented order, so equal
 seeds give byte-identical CSV output), computes observed relative
 leverage-score differences, evaluates the figure's bound at every
-index, and returns one FigureRow per index per panel.
+index, and returns one FigurePanel per panel: per-index columns ell,
+ell_tilde, rel_diff and bound, where row j of the CSV is index j.
 
 Figure map
 ----------
@@ -19,7 +20,8 @@ fig2  stepped orthonormal and ill-conditioned matrices under a
 fig3  Frobenius Gaussian perturbations eps_f = 1e-8 (a) and
       1e-5 (b); T3_1 bound.
 fig4  eps_f = 1e-8 supported on rows 500..749 (a), and with the
-      matrix's own row scaling (b); T3_2 bound.
+      matrix's own row scaling (b); T3_2 bound. fig4_panels runs the
+      same experiment with any bound (acceptance evaluates T3_3).
 fig5  componentwise row-scaled perturbations with eta_j = 1e-8 on
       the well- and ill-conditioned matrices; T3_4 bound.
 """
@@ -35,15 +37,13 @@ import numpy as np
 from . import svgplot
 from .angles import principal_angles
 from .bounds import (
-    EXACT_ABS_SLACK,
-    EXACT_REL_SLACK,
-    FIRST_ORDER_CAP,
-    FIRST_ORDER_HOLD_FRACTION,
+    FIRST_ORDER_TAGS,
     bound_c1,
     bound_t2,
     bound_t3_1,
     bound_t3_2,
     bound_t3_4,
+    check_policy,
 )
 from .generate import (
     stepped_gaussian,
@@ -67,7 +67,7 @@ FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
 CSV_HEADER = ("panel", "j", "ell", "ell_tilde", "rel_diff", "bound", "theorem")
 
-# Tag used on rows that carry leverage scores rather than differences.
+# Theorem tag of panels that carry leverage scores rather than differences.
 SCORES_TAG = "levscores"
 
 
@@ -105,50 +105,36 @@ class ExperimentConfig:
         return cls(**d)
 
 
-@dataclass
-class FigureRow:
-    j: int
-    ell: float
-    ell_tilde: float
-    rel_diff: float
-    bound: float
+@dataclass(frozen=True, eq=False)
+class FigurePanel:
+    """
+    One figure panel as per-index columns; row j of the CSV is index j.
+    Score panels carry SCORES_TAG and NaN in ell_tilde, rel_diff and
+    bound.
+    """
+
+    name: str
     theorem: str
-    panel: str
+    ell: np.ndarray
+    ell_tilde: np.ndarray
+    rel_diff: np.ndarray
+    bound: np.ndarray
+
+    @classmethod
+    def scores(cls, name, lev):
+        nan = np.full(lev.shape, np.nan)
+        return cls(name, SCORES_TAG, lev, nan, nan, nan)
+
+    @classmethod
+    def from_report(cls, name, lev, lev_tilde, report):
+        return cls(
+            name, report.theorem, lev, lev_tilde, report.observed, report.per_index_bound
+        )
 
 
 def _spawn_rngs(seed, count):
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.default_rng(c) for c in children]
-
-
-def _score_rows(lev, panel):
-    return [
-        FigureRow(
-            j=j,
-            ell=float(lev[j]),
-            ell_tilde=math.nan,
-            rel_diff=math.nan,
-            bound=math.nan,
-            theorem=SCORES_TAG,
-            panel=panel,
-        )
-        for j in range(lev.shape[0])
-    ]
-
-
-def _bound_rows(lev, lev_tilde, rel, report, panel):
-    return [
-        FigureRow(
-            j=j,
-            ell=float(lev[j]),
-            ell_tilde=float(lev_tilde[j]),
-            rel_diff=float(rel[j]),
-            bound=float(report.per_index_bound[j]),
-            theorem=report.theorem,
-            panel=panel,
-        )
-        for j in range(lev.shape[0])
-    ]
 
 
 def run_fig1(cfg):
@@ -157,7 +143,7 @@ def run_fig1(cfg):
     rngs = _spawn_rngs(cfg.seed, 1 + len(targets))
     a = stepped_orthonormal(rngs[0])
     lev = leverage_qr(a)
-    rows = _score_rows(lev, "a")
+    panels = [FigurePanel.scores("a", lev)]
     for k, target in enumerate(targets):
         panel = chr(ord("b") + k)
         q_tilde = rotation_perturbation(a, target, rngs[1 + k])
@@ -169,8 +155,8 @@ def run_fig1(cfg):
             "fig1 panel %s: target sin %.3e, measured sin %.6e",
             panel, target, angles.sin_theta_max,
         )
-        rows.extend(_bound_rows(lev, lev_tilde, rel, report, panel))
-    return rows
+        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+    return panels
 
 
 def run_fig2(cfg):
@@ -187,7 +173,7 @@ def run_fig2(cfg):
         ("a", "c", "e", stepped_orthonormal(rngs[0]), rngs[2]),
         ("b", "d", "f", stepped_illconditioned(rngs[1], kappa), rngs[3]),
     ]
-    rows = []
+    panels = []
     for score_panel, gen_panel, perp_panel, mat, rng in mats:
         lev = leverage_qr(mat)
         stats = matrix_stats(mat)
@@ -200,12 +186,12 @@ def run_fig2(cfg):
             "fig2 matrix %s: kappa2 %.3e, eps_two %.3e, measured eps_two_perp %.3e",
             score_panel, stats.kappa2, metrics.eps_two, metrics.eps_two_perp,
         )
-        rows.extend(_score_rows(lev, score_panel))
-        rows.extend(_bound_rows(lev, lev_tilde, rel, general, gen_panel))
-        rows.extend(_bound_rows(lev, lev_tilde, rel, projected, perp_panel))
+        panels.append(FigurePanel.scores(score_panel, lev))
+        panels.append(FigurePanel.from_report(gen_panel, lev, lev_tilde, general))
+        panels.append(FigurePanel.from_report(perp_panel, lev, lev_tilde, projected))
     # Emit in panel order a, b, c, d, e, f.
-    rows.sort(key=lambda r: (r.panel, r.j))
-    return rows
+    panels.sort(key=lambda p: p.name)
+    return panels
 
 
 def run_fig3(cfg):
@@ -215,7 +201,7 @@ def run_fig3(cfg):
     a = stepped_orthonormal(rngs[0])
     lev = leverage_qr(a)
     stats = matrix_stats(a)
-    rows = []
+    panels = []
     for k, eps_f in enumerate(eps_fs):
         panel = chr(ord("a") + k)
         delta = normwise_perturbation(a, eps_f, "fro", rngs[1 + k])
@@ -223,12 +209,17 @@ def run_fig3(cfg):
         lev_tilde = leverage_qr(a + delta)
         rel = relative_diffs(lev, lev_tilde)
         report = bound_t3_1(lev, stats, metrics, observed=rel)
-        rows.extend(_bound_rows(lev, lev_tilde, rel, report, panel))
-    return rows
+        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+    return panels
 
 
-def run_fig4(cfg):
-    """Row-localized and row-scaled Frobenius perturbations."""
+def fig4_panels(cfg, bound):
+    """
+    The fig4 experiment with any bound of the form
+    bound(stats, metrics, observed=rel): a Frobenius perturbation of
+    size eps_f on rows row_start..row_stop-1 (panel a), and one with
+    the stepped Gaussian's own row scaling (panel b).
+    """
     eps_f = cfg.overrides.get("eps_f", 1e-8)
     row_start = cfg.overrides.get("row_start", 500)
     row_stop = cfg.overrides.get("row_stop", 750)
@@ -241,14 +232,19 @@ def run_fig4(cfg):
         ("a", row_subset_perturbation(a, row_start, row_stop, eps_f, rngs[1])),
         ("b", same_row_scaling_perturbation(stepped_gaussian(rngs[2]), eps_f)),
     ]
-    rows = []
+    panels = []
     for panel, delta in deltas:
         metrics = measure(a, delta)
         lev_tilde = leverage_qr(a + delta)
         rel = relative_diffs(lev, lev_tilde)
-        report = bound_t3_2(stats, metrics, observed=rel)
-        rows.extend(_bound_rows(lev, lev_tilde, rel, report, panel))
-    return rows
+        report = bound(stats, metrics, observed=rel)
+        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+    return panels
+
+
+def run_fig4(cfg):
+    """Row-localized and row-scaled Frobenius perturbations; T3_2 bound."""
+    return fig4_panels(cfg, bound_t3_2)
 
 
 def run_fig5(cfg):
@@ -265,7 +261,7 @@ def run_fig5(cfg):
         ("a", stepped_orthonormal(rngs[0]), rngs[2]),
         ("b", stepped_illconditioned(rngs[1], kappa), rngs[3]),
     ]
-    rows = []
+    panels = []
     for panel, mat, rng in mats:
         lev = leverage_qr(mat)
         stats = matrix_stats(mat)
@@ -274,8 +270,8 @@ def run_fig5(cfg):
         lev_tilde = leverage_qr(mat + delta)
         rel = relative_diffs(lev, lev_tilde)
         report = bound_t3_4(eta, mat.shape[1], kappa2=stats.kappa2, observed=rel)
-        rows.extend(_bound_rows(lev, lev_tilde, rel, report, panel))
-    return rows
+        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+    return panels
 
 
 FIGURE_RUNNERS = {
@@ -287,46 +283,33 @@ FIGURE_RUNNERS = {
 }
 
 
-def verify_rows(rows):
+def verify_rows(panels):
     """
-    Enforce the bound-holds invariant on a figure's rows.
-
-    Exact bounds allow floating-point slack only; first-order bounds
-    follow the outlier policy (99 percent within the bound, all
-    indices within 10x). Raises BoundViolationError on failure.
+    Enforce the bound-holds invariant on a figure's panels under
+    bounds.check_policy: exact bounds allow floating-point slack only,
+    first-order bounds follow the outlier policy. Raises
+    BoundViolationError on failure.
     """
-    panels = {}
-    for row in rows:
-        if row.theorem == SCORES_TAG:
+    for p in panels:
+        if p.theorem == SCORES_TAG:
             continue
-        panels.setdefault((row.panel, row.theorem), []).append(row)
-    for (panel, theorem), group in panels.items():
-        obs = np.array([r.rel_diff for r in group])
-        bnd = np.array([r.bound for r in group])
-        defined = ~(np.isnan(obs) | np.isnan(bnd))
-        if not defined.any():
+        first_order = p.theorem in FIRST_ORDER_TAGS
+        check = check_policy(p.rel_diff, p.bound, first_order)
+        if check.ok:
             continue
-        obs, bnd = obs[defined], bnd[defined]
-        if theorem in ("T3_2", "T3_3", "T3_4"):
-            frac = float(np.mean(obs <= bnd))
-            if frac < FIRST_ORDER_HOLD_FRACTION or np.any(obs > FIRST_ORDER_CAP * bnd):
-                raise BoundViolationError(
-                    f"panel {panel}: first-order bound {theorem} held at "
-                    f"{frac:.4f} of indices (worst ratio "
-                    f"{float(np.max(obs / bnd)):.2f})"
-                )
-        else:
-            bad = obs > bnd * (1.0 + EXACT_REL_SLACK) + EXACT_ABS_SLACK
-            if bad.any():
-                worst = float(np.max(obs - bnd))
-                raise BoundViolationError(
-                    f"panel {panel}: exact bound {theorem} violated at "
-                    f"{int(bad.sum())} indices (worst excess {worst:.3e})"
-                )
+        if first_order:
+            raise BoundViolationError(
+                f"panel {p.name}: first-order bound {p.theorem} held at "
+                f"{check.frac:.4f} of indices (worst ratio {check.worst:.2f})"
+            )
+        raise BoundViolationError(
+            f"panel {p.name}: exact bound {p.theorem} violated at "
+            f"{check.violations} indices (worst ratio {check.worst:.6g})"
+        )
 
 
-def emit_csv(rows, path):
-    """Write rows to CSV with round-trip float precision (NaN -> empty)."""
+def emit_csv(panels, path):
+    """Write panels to CSV with round-trip float precision (NaN -> empty)."""
 
     def fmt(x):
         return "" if math.isnan(x) else format_float(x)
@@ -334,104 +317,86 @@ def emit_csv(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                (
-                    row.panel,
-                    row.j,
-                    fmt(row.ell),
-                    fmt(row.ell_tilde),
-                    fmt(row.rel_diff),
-                    fmt(row.bound),
-                    row.theorem,
-                )
+        for p in panels:
+            columns = zip(
+                p.ell.tolist(), p.ell_tilde.tolist(), p.rel_diff.tolist(), p.bound.tolist()
             )
+            for j, values in enumerate(columns):
+                writer.writerow((p.name, j, *map(fmt, values), p.theorem))
 
 
 def parse_csv(path):
-    """Read a CSV written by emit_csv back into FigureRow objects."""
+    """Read a CSV written by emit_csv back into FigurePanel objects."""
 
     def val(s):
         return math.nan if s == "" else float(s)
 
-    rows = []
+    groups = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader))
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected CSV header {header}")
-        for rec in reader:
-            panel, j, ell, ell_tilde, rel_diff, bound, theorem = rec
-            rows.append(
-                FigureRow(
-                    j=int(j),
-                    ell=val(ell),
-                    ell_tilde=val(ell_tilde),
-                    rel_diff=val(rel_diff),
-                    bound=val(bound),
-                    theorem=theorem,
-                    panel=panel,
+        for name, j, ell, ell_tilde, rel_diff, bound, theorem in reader:
+            group_theorem, values = groups.setdefault(name, (theorem, []))
+            if int(j) != len(values) or theorem != group_theorem:
+                raise ValueError(
+                    f"{path}: panel {name} row {j} is out of order or changes theorem"
                 )
-            )
-    return rows
+            values.append([val(ell), val(ell_tilde), val(rel_diff), val(bound)])
+    return [
+        FigurePanel(name, theorem, *np.array(values).reshape(-1, 4).T)
+        for name, (theorem, values) in groups.items()
+    ]
 
 
-def emit_svg(rows, path, title=""):
+def _points(values):
+    return [(j, y) for j, y in enumerate(values.tolist()) if not math.isnan(y)]
+
+
+def emit_svg(panels, path, title=""):
     """
-    Render rows as a panel grid: leverage-score panels as green
-    scatters, difference panels as blue scatters under the red bound
-    curve. One self-contained SVG file.
+    Render panels as a grid: leverage-score panels as green scatters,
+    difference panels as blue scatters under the red bound curve. One
+    self-contained SVG file.
     """
-    order = []
-    by_panel = {}
-    for row in rows:
-        if row.panel not in by_panel:
-            by_panel[row.panel] = []
-            order.append(row.panel)
-        by_panel[row.panel].append(row)
-
-    panels = []
-    for name in order:
-        group = by_panel[name]
-        if all(r.theorem == SCORES_TAG for r in group):
-            pts = [(r.j, r.ell) for r in group if not math.isnan(r.ell)]
-            panels.append(
+    plots = []
+    for p in panels:
+        if p.theorem == SCORES_TAG:
+            plots.append(
                 svgplot.Panel(
-                    title=f"panel {name}: leverage scores",
-                    points=pts,
+                    title=f"panel {p.name}: leverage scores",
+                    points=_points(p.ell),
                     point_class="pt-lev",
                 )
             )
         else:
-            pts = [(r.j, r.rel_diff) for r in group if not math.isnan(r.rel_diff)]
-            curve = [(r.j, r.bound) for r in group if not math.isnan(r.bound)]
-            theorem = group[0].theorem
-            panels.append(
+            plots.append(
                 svgplot.Panel(
-                    title=f"panel {name}: rel diff vs {theorem}",
-                    points=pts,
-                    bound=curve,
+                    title=f"panel {p.name}: rel diff vs {p.theorem}",
+                    points=_points(p.rel_diff),
+                    bound=_points(p.bound),
                 )
             )
     with open(path, "w", newline="\n") as fh:
-        fh.write(svgplot.render(panels, title=title))
+        fh.write(svgplot.render(plots, title=title))
 
 
 def run_figure(cfg, assert_bounds=True, emit=True):
     """
-    Run one figure end to end: compute rows, enforce the bound-holds
+    Run one figure end to end: compute panels, enforce the bound-holds
     invariant (unless disabled), and emit CSV and SVG into
-    cfg.output_dir. Returns (rows, csv_path, svg_path); the paths are
-    None when emit is False.
+    cfg.output_dir. Returns (panels, csv_path, svg_path); the paths
+    are None when emit is False.
     """
-    rows = FIGURE_RUNNERS[cfg.figure](cfg)
+    panels = FIGURE_RUNNERS[cfg.figure](cfg)
     if assert_bounds:
-        verify_rows(rows)
+        verify_rows(panels)
     if not emit:
-        return rows, None, None
+        return panels, None, None
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, f"{cfg.figure}.csv")
     svg_path = os.path.join(cfg.output_dir, f"{cfg.figure}.svg")
-    emit_csv(rows, csv_path)
-    emit_svg(rows, svg_path, title=f"{cfg.figure} (seed {cfg.seed})")
-    return rows, csv_path, svg_path
+    emit_csv(panels, csv_path)
+    emit_svg(panels, svg_path, title=f"{cfg.figure} (seed {cfg.seed})")
+    return panels, csv_path, svg_path

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .linalg import as_matrix, householder_qr
+from .linalg import householder_qr
 
 # Fixed recipe behind the stepped-leverage matrices: four row blocks
 # of 250, scaled 1, 1e2, 1e3, 1e4, times a 1000 x 25 Gaussian.
@@ -179,8 +179,3 @@ def generate(spec, rng):
     if spec.sv_mode == "orthonormal":
         return householder_qr(core).q
     return core
-
-
-def verify_generated(a):
-    """Basic sanity hook used by the CLI: finite entries, 2-d."""
-    return as_matrix(a, "generated matrix")

@@ -69,6 +69,23 @@ def _require_full_rank(sigma, m):
         )
 
 
+def full_rank_qr(a):
+    """
+    Householder QR of an m x n matrix, m >= n, checked for full rank
+    through the singular values of r. Returns (q, r, sigma); rank
+    deficiency raises RankDeficiencyError carrying the
+    sigma_min/sigma_max ratio.
+    """
+    a = as_matrix(a, "a")
+    m, n = a.shape
+    if m < n:
+        raise ValueError(f"need m >= n, got shape {a.shape}")
+    q, r = householder_qr(a)
+    sigma = jacobi_svd(r).sigma
+    _require_full_rank(sigma, m)
+    return q, r, sigma
+
+
 def leverage_qr(a):
     """
     Leverage scores computed from a Householder QR decomposition.
@@ -77,13 +94,7 @@ def leverage_qr(a):
     rank deficiency raises RankDeficiencyError carrying the
     sigma_min/sigma_max ratio.
     """
-    a = as_matrix(a, "a")
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"leverage_qr needs m >= n, got shape {a.shape}")
-    q, r = householder_qr(a)
-    _require_full_rank(jacobi_svd(r).sigma, m)
-    return leverage_from_basis(q)
+    return leverage_from_basis(full_rank_qr(a)[0])
 
 
 def leverage_svd(a):
@@ -148,6 +159,7 @@ def relative_diffs(base, pert, floor=0.0):
 __all__ = [
     "BASIS_TOL",
     "MatrixStats",
+    "full_rank_qr",
     "leverage_from_basis",
     "leverage_qr",
     "leverage_svd",

@@ -29,13 +29,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .generate import make_rng
-from .leverage import RANK_TOL_FACTOR
+from .leverage import full_rank_qr
 from .linalg import (
-    RankDeficiencyError,
     as_matrix,
     check_orthonormal,
     householder_qr,
-    jacobi_svd,
     project_complement,
     two_norm,
 )
@@ -250,17 +248,7 @@ def measure(a, delta):
         raise ValueError(
             f"dimension mismatch: a is {a.shape}, delta is {delta.shape}"
         )
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"measure needs m >= n, got shape {a.shape}")
-
-    q, r = householder_qr(a)
-    sigma = jacobi_svd(r).sigma
-    if sigma[0] == 0.0 or sigma[-1] <= RANK_TOL_FACTOR * m * sigma[0]:
-        ratio = sigma[-1] / sigma[0] if sigma[0] > 0 else 0.0
-        raise RankDeficiencyError(
-            f"projector undefined: sigma_min/sigma_max = {ratio:.3e}", ratio=ratio
-        )
+    q, _, sigma = full_rank_qr(a)
 
     a_two = float(sigma[0])
     a_fro = float(np.linalg.norm(a, "fro"))
@@ -269,8 +257,8 @@ def measure(a, delta):
     a_rows = np.linalg.norm(a, axis=1)
     d_rows = np.linalg.norm(delta, axis=1)
     p_rows = np.linalg.norm(perp, axis=1)
-    eps_row = np.full(m, np.nan)
-    eps_row_perp = np.full(m, np.nan)
+    eps_row = np.full(a_rows.shape, np.nan)
+    eps_row_perp = np.full(a_rows.shape, np.nan)
     nz = a_rows > 0.0
     eps_row[nz] = d_rows[nz] / a_rows[nz]
     eps_row_perp[nz] = p_rows[nz] / a_rows[nz]

@@ -10,9 +10,11 @@ threshold sits one notch above what the experiment produces. The
 first clause (decade profile at 1e-8) is asserted separately below.
 """
 
+import numpy as np
 import pytest
 
 from qrlev import acceptance
+from qrlev.experiments import FigurePanel
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +116,81 @@ def test_cli_check_reports_every_criterion(results, capsys, monkeypatch):
     assert sum("[FAIL]" in l for l in lines) == 1
     assert "[FAIL] figure 3 brackets" in out
     assert code == 1
+
+
+def _panels_within_bounds():
+    """
+    A ctx for criteria 4 and 6 whose panels all hold their bounds:
+    observed differences are half the bound at 200 indices.
+    """
+
+    def panel(name, theorem):
+        ell = np.full(200, 0.1)
+        return FigurePanel(
+            name, theorem, ell, ell * (1.0 + 5e-7), np.full(200, 5e-7), np.full(200, 1e-6)
+        )
+
+    figures = {
+        "fig1": {n: panel(n, "C1_rel") for n in "bcd"},
+        "fig2": {n: panel(n, t) for n, t in zip("cdef", ("T2_gen",) * 2 + ("T2_perp",) * 2)},
+        "fig3": {n: panel(n, "T3_1") for n in "ab"},
+        "fig4": {n: panel(n, "T3_2") for n in "ab"},
+        "fig5": {n: panel(n, "T3_4") for n in "ab"},
+    }
+    return {
+        "seed": acceptance.DEFAULT_SEED,
+        "figures": figures,
+        "fig4_t3_3": {n: panel(n, "T3_3") for n in "ab"},
+    }
+
+
+def test_criteria_4_and_6_pass_on_panels_within_their_bounds():
+    ctx = _panels_within_bounds()
+    assert acceptance.criterion_4(ctx).passed
+    res = acceptance.criterion_6(ctx)
+    assert res.passed
+    assert res.detail.count("frac 1.000 worst 0.50") == 6
+
+
+@pytest.mark.parametrize(
+    ("figure", "name", "theorem"),
+    [("fig1", "c", "C1_rel"), ("fig2", "e", "T2_perp"), ("fig3", "b", "T3_1")],
+)
+def test_criterion_4_fails_on_one_index_above_its_bound(figure, name, theorem):
+    ctx = _panels_within_bounds()
+    p = ctx["figures"][figure][name]
+    p.rel_diff[17] = 1.01 * p.bound[17]
+    res = acceptance.criterion_4(ctx)
+    assert not res.passed
+    assert res.detail == f"violations: {theorem} {figure}/{name}:1"
+
+
+def test_criterion_4_checks_the_absolute_bound():
+    ctx = _panels_within_bounds()
+    p = ctx["figures"]["fig1"]["d"]
+    p.ell_tilde[3] = p.ell[3] * (1.0 + 1.01e-6)
+    res = acceptance.criterion_4(ctx)
+    assert not res.passed
+    assert res.detail == "violations: T1_abs fig1/d:1"
+
+
+@pytest.mark.parametrize(
+    ("source", "figure", "name", "theorem"),
+    [
+        ("fig4", "fig4", "a", "T3_2"),
+        ("fig4_t3_3", "fig4", "b", "T3_3"),
+        ("fig5", "fig5", "b", "T3_4"),
+    ],
+)
+def test_criterion_6_fails_on_one_index_beyond_the_cap(source, figure, name, theorem):
+    ctx = _panels_within_bounds()
+    panels = ctx[source] if source == "fig4_t3_3" else ctx["figures"][source]
+    p = panels[name]
+    # One index above the bound is within the 99 percent allowance.
+    p.rel_diff[17] = 2.0 * p.bound[17]
+    assert acceptance.criterion_6(ctx).passed
+    p.rel_diff[17] = 11.0 * p.bound[17]
+    res = acceptance.criterion_6(ctx)
+    assert not res.passed
+    assert res.detail.endswith(f" FAILED: {theorem} {figure}/{name}")
+    assert f"{theorem}/{name} frac 0.995 worst 11.00" in res.detail

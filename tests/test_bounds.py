@@ -3,6 +3,9 @@ import pytest
 
 from qrlev.angles import PrincipalAngles, principal_angles
 from qrlev.bounds import (
+    EXACT_ABS_SLACK,
+    EXACT_REL_SLACK,
+    FIRST_ORDER_CAP,
     HypothesisError,
     bound_c1,
     bound_t1,
@@ -11,6 +14,7 @@ from qrlev.bounds import (
     bound_t3_2,
     bound_t3_3,
     bound_t3_4,
+    check_policy,
     delta_q_first_order,
     first_order_policy_ok,
     qr_q_difference,
@@ -292,6 +296,71 @@ def test_first_order_policy():
     capped_out[0] = 8e-6  # beyond ten times the bound
     report = bound_t3_4(eta, 25, observed=capped_out)
     assert not first_order_policy_ok(report)
+
+
+class TestCheckPolicy:
+    def test_exact_slack_boundary(self):
+        bound = np.array([1e-9, 1e-6, 0.5, 2.0])
+        edge = bound * (1.0 + EXACT_REL_SLACK) + EXACT_ABS_SLACK
+        check = check_policy(edge, bound, first_order=False)
+        assert check.ok and check.holds.all() and check.violations == 0
+        over = np.nextafter(edge, np.inf)
+        check = check_policy(over, bound, first_order=False)
+        assert not check.ok and not check.holds.any() and check.violations == 4
+
+    def test_exact_slack_boundary_through_report(self):
+        lev = np.array([1e-8, 0.3, 0.9])
+        angles = angles_of(1e-5)
+        report = bound_c1(lev, angles)
+        assert not report.first_order
+        edge = report.per_index_bound * (1.0 + EXACT_REL_SLACK) + EXACT_ABS_SLACK
+        assert bound_c1(lev, angles, observed=edge).holds.all()
+        over = np.nextafter(edge, np.inf)
+        assert not bound_c1(lev, angles, observed=over).holds.any()
+
+    def test_first_order_fraction_boundary(self):
+        bound = np.full(100, 1e-7)
+        obs = np.full(100, 1e-9)
+        obs[0] = np.nextafter(bound[0], np.inf)
+        check = check_policy(obs, bound, first_order=True)
+        assert check.ok and check.frac == 0.99 and check.violations == 1
+        obs[1] = np.nextafter(bound[1], np.inf)
+        check = check_policy(obs, bound, first_order=True)
+        assert not check.ok and check.frac == 0.98
+
+    def test_first_order_cap_boundary(self):
+        bound = np.full(100, 1e-7)
+        obs = np.full(100, 1e-9)
+        obs[0] = FIRST_ORDER_CAP * bound[0]
+        check = check_policy(obs, bound, first_order=True)
+        assert check.ok and check.worst == FIRST_ORDER_CAP
+        obs[0] = np.nextafter(obs[0], np.inf)
+        assert not check_policy(obs, bound, first_order=True).ok
+
+    def test_first_order_boundaries_through_report(self):
+        eta = np.full(100, 1e-8)
+        bound = bound_t3_4(eta, 25).per_index_bound
+        obs = bound.copy()
+        report = bound_t3_4(eta, 25, observed=obs)
+        assert report.first_order
+        assert report.holds.all() and first_order_policy_ok(report)
+        obs[0] = np.nextafter(bound[0], np.inf)
+        report = bound_t3_4(eta, 25, observed=obs)
+        assert not report.holds[0] and report.holds[1:].all()
+        assert first_order_policy_ok(report)
+        obs[1] = np.nextafter(bound[1], np.inf)
+        assert not first_order_policy_ok(bound_t3_4(eta, 25, observed=obs))
+        obs[1] = bound[1]
+        obs[0] = FIRST_ORDER_CAP * bound[0]
+        assert first_order_policy_ok(bound_t3_4(eta, 25, observed=obs))
+        obs[0] = np.nextafter(obs[0], np.inf)
+        assert not first_order_policy_ok(bound_t3_4(eta, 25, observed=obs))
+
+    def test_undefined_indices_hold_and_are_left_out(self):
+        check = check_policy([np.nan, 5.0], [1.0, np.nan], first_order=False)
+        assert check.ok and check.holds.all() and np.isnan(check.frac)
+        check = check_policy([np.nan, 2.0, 0.5], [1.0, 1.0, 1.0], first_order=True)
+        assert check.frac == 0.5 and check.worst == 2.0 and not check.ok
 
 
 class TestRdotRinv:

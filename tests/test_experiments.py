@@ -1,14 +1,18 @@
-import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from qrlev.bounds import (
+    EXACT_ABS_SLACK,
+    EXACT_REL_SLACK,
+    FIRST_ORDER_CAP,
+)
 from qrlev.experiments import (
     BoundViolationError,
     ExperimentConfig,
     FIGURE_RUNNERS,
-    FigureRow,
+    FigurePanel,
     emit_csv,
     emit_svg,
     parse_csv,
@@ -22,13 +26,23 @@ from qrlev.experiments import (
 SEED = 42
 
 
+def by_name(panels):
+    return {p.name: p for p in panels}
+
+
+def make_panel(theorem, rel_diff, bound, name="a"):
+    rel_diff = np.array(rel_diff, dtype=float)
+    ell = np.full(rel_diff.shape, 0.5)
+    return FigurePanel(name, theorem, ell, ell.copy(), rel_diff, np.asarray(bound, float))
+
+
 @pytest.fixture(scope="module")
-def fig1_rows():
+def fig1_panels():
     return run_fig1(ExperimentConfig(figure="fig1", seed=SEED))
 
 
 @pytest.fixture(scope="module")
-def fig2_rows():
+def fig2_panels():
     return run_fig2(ExperimentConfig(figure="fig2", seed=SEED))
 
 
@@ -47,33 +61,41 @@ class TestConfig:
 
 
 class TestFig1:
-    def test_row_count_and_panels(self, fig1_rows):
+    def test_row_count_and_panels(self, fig1_panels):
         # 1000 leverage rows plus 1000 rows for each of three targets.
-        assert len(fig1_rows) == 4000
-        panels = {r.panel for r in fig1_rows}
-        assert panels == {"a", "b", "c", "d"}
-        assert all(r.theorem == "levscores" for r in fig1_rows if r.panel == "a")
-        assert all(r.theorem == "C1_rel" for r in fig1_rows if r.panel != "a")
+        assert sum(len(p.ell) for p in fig1_panels) == 4000
+        assert all(
+            len(col) == 1000
+            for p in fig1_panels
+            for col in (p.ell, p.ell_tilde, p.rel_diff, p.bound)
+        )
+        panels = by_name(fig1_panels)
+        assert set(panels) == {"a", "b", "c", "d"}
+        assert panels["a"].theorem == "levscores"
+        assert all(p.theorem == "C1_rel" for name, p in panels.items() if name != "a")
 
-    def test_bounds_hold(self, fig1_rows):
-        verify_rows(fig1_rows)
+    def test_bounds_hold(self, fig1_panels):
+        verify_rows(fig1_panels)
 
-    def test_bound_above_observed_everywhere(self, fig1_rows):
-        for r in fig1_rows:
-            if not math.isnan(r.rel_diff):
-                assert r.rel_diff <= r.bound * 1.001 + 1e-12
+    def test_bound_above_observed_everywhere(self, fig1_panels):
+        for p in fig1_panels:
+            defined = ~np.isnan(p.rel_diff)
+            assert np.all(
+                p.rel_diff[defined] <= p.bound[defined] * 1.001 + 1e-12
+            )
 
     def test_override_targets(self):
         cfg = ExperimentConfig(
             figure="fig1", seed=SEED, overrides={"target_sins": [1e-7]}
         )
-        rows = run_fig1(cfg)
-        assert {r.panel for r in rows} == {"a", "b"}
+        panels = run_fig1(cfg)
+        assert set(by_name(panels)) == {"a", "b"}
 
 
 class TestFig2:
-    def test_panels(self, fig2_rows):
-        panels = {r.panel: r.theorem for r in fig2_rows}
+    def test_panels(self, fig2_panels):
+        panels = {p.name: p.theorem for p in fig2_panels}
+        assert [p.name for p in fig2_panels] == sorted(panels)
         assert panels == {
             "a": "levscores",
             "b": "levscores",
@@ -83,22 +105,22 @@ class TestFig2:
             "f": "T2_perp",
         }
 
-    def test_bounds_hold(self, fig2_rows):
-        verify_rows(fig2_rows)
+    def test_bounds_hold(self, fig2_panels):
+        verify_rows(fig2_panels)
 
 
 class TestOtherFigures:
     @pytest.mark.parametrize("figure", ["fig3", "fig4", "fig5"])
     def test_runs_and_verifies(self, figure):
-        rows = FIGURE_RUNNERS[figure](ExperimentConfig(figure=figure, seed=SEED))
-        assert {r.panel for r in rows} == {"a", "b"}
-        verify_rows(rows)
+        panels = FIGURE_RUNNERS[figure](ExperimentConfig(figure=figure, seed=SEED))
+        assert set(by_name(panels)) == {"a", "b"}
+        verify_rows(panels)
 
     def test_fig4_local_and_global_effects(self):
-        rows = run_fig4(ExperimentConfig(figure="fig4", seed=SEED))
-        rel_a = np.array([r.rel_diff for r in rows if r.panel == "a"])
-        bnd_a = np.array([r.bound for r in rows if r.panel == "a"])
-        bnd_b = np.array([r.bound for r in rows if r.panel == "b"])
+        panels = by_name(run_fig4(ExperimentConfig(figure="fig4", seed=SEED)))
+        rel_a = panels["a"].rel_diff
+        bnd_a = panels["a"].bound
+        bnd_b = panels["b"].bound
         unpert_rel = np.concatenate([rel_a[:500], rel_a[750:]])
         # The local perturbation has a global effect on all scores,
         # but a much stronger one on the perturbed rows.
@@ -111,49 +133,74 @@ class TestOtherFigures:
 
     def test_fig5_eta_zero_control(self):
         cfg = ExperimentConfig(figure="fig5", seed=SEED, overrides={"eta": 0.0})
-        rows = FIGURE_RUNNERS["fig5"](cfg)
-        rel = np.array([r.rel_diff for r in rows])
+        panels = FIGURE_RUNNERS["fig5"](cfg)
+        rel = np.concatenate([p.rel_diff for p in panels])
         assert np.nanmax(rel) <= 1e-12
 
     def test_fig5_kappa_override(self):
         cfg = ExperimentConfig(figure="fig5", seed=SEED, overrides={"kappa": 1e3})
-        rows = FIGURE_RUNNERS["fig5"](cfg)
-        verify_rows(rows)
+        verify_rows(FIGURE_RUNNERS["fig5"](cfg))
 
 
 class TestVerifyPolicy:
     def test_exact_violation_raises(self):
-        rows = [
-            FigureRow(j=0, ell=0.5, ell_tilde=0.5, rel_diff=1e-3,
-                      bound=1e-6, theorem="C1_rel", panel="b")
-        ]
+        panel = make_panel("C1_rel", [1e-3], [1e-6], name="b")
         with pytest.raises(BoundViolationError, match="C1_rel"):
-            verify_rows(rows)
+            verify_rows([panel])
 
     def test_first_order_outlier_tolerated(self):
-        rows = [
-            FigureRow(j=j, ell=0.5, ell_tilde=0.5, rel_diff=1e-9,
-                      bound=1e-7, theorem="T3_4", panel="a")
-            for j in range(200)
-        ]
-        rows[0].rel_diff = 5e-7  # within 10x
-        verify_rows(rows)
-        rows[0].rel_diff = 5e-6  # beyond 10x
+        panel = make_panel("T3_4", np.full(200, 1e-9), np.full(200, 1e-7))
+        panel.rel_diff[0] = 5e-7  # within 10x
+        verify_rows([panel])
+        panel.rel_diff[0] = 5e-6  # beyond 10x
         with pytest.raises(BoundViolationError, match="T3_4"):
-            verify_rows(rows)
+            verify_rows([panel])
+
+    def test_exact_slack_boundary(self):
+        bound = np.array([1e-9, 1e-6, 0.5, 2.0])
+        edge = bound * (1.0 + EXACT_REL_SLACK) + EXACT_ABS_SLACK
+        verify_rows([make_panel("T2_gen", edge, bound)])
+        for j in range(bound.size):
+            over = edge.copy()
+            over[j] = np.nextafter(over[j], np.inf)
+            with pytest.raises(BoundViolationError, match="T2_gen violated at 1 "):
+                verify_rows([make_panel("T2_gen", over, bound)])
+
+    def test_first_order_fraction_boundary(self):
+        # 100 indices: one above the bound is 99 percent, two is not.
+        bound = np.full(100, 1e-7)
+        obs = np.full(100, 1e-9)
+        obs[0] = np.nextafter(bound[0], np.inf)
+        verify_rows([make_panel("T3_2", obs, bound)])
+        obs[1] = np.nextafter(bound[1], np.inf)
+        with pytest.raises(BoundViolationError, match="held at 0.9800"):
+            verify_rows([make_panel("T3_2", obs, bound)])
+
+    def test_first_order_cap_boundary(self):
+        bound = np.full(100, 1e-7)
+        obs = np.full(100, 1e-9)
+        obs[0] = FIRST_ORDER_CAP * bound[0]
+        verify_rows([make_panel("T3_3", obs, bound)])
+        obs[0] = np.nextafter(obs[0], np.inf)
+        with pytest.raises(BoundViolationError, match="T3_3 held at 0.9900"):
+            verify_rows([make_panel("T3_3", obs, bound)])
+
+    def test_undefined_indices_ignored_and_scores_skipped(self):
+        verify_rows([make_panel("C1_rel", [np.nan, 1e-9], [1e-12, np.nan])])
+        verify_rows([FigurePanel.scores("a", np.array([0.5, 0.5]))])
 
 
 class TestCSV:
-    def test_roundtrip_bit_exact(self, tmp_path, fig1_rows):
+    def test_roundtrip_bit_exact(self, tmp_path, fig1_panels):
         path = tmp_path / "rows.csv"
-        emit_csv(fig1_rows, path)
+        emit_csv(fig1_panels, path)
         parsed = parse_csv(path)
-        assert len(parsed) == len(fig1_rows)
-        for a, b in zip(fig1_rows, parsed):
-            assert a.panel == b.panel and a.j == b.j and a.theorem == b.theorem
+        assert len(parsed) == len(fig1_panels)
+        for a, b in zip(fig1_panels, parsed):
+            assert a.name == b.name and a.theorem == b.theorem
             for field in ("ell", "ell_tilde", "rel_diff", "bound"):
                 x, y = getattr(a, field), getattr(b, field)
-                assert (math.isnan(x) and math.isnan(y)) or x == y
+                assert np.array_equal(x, y, equal_nan=True)
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -162,38 +209,39 @@ class TestCSV:
 
     def test_nan_serialized_empty(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit_csv(
-            [FigureRow(j=0, ell=0.5, ell_tilde=math.nan, rel_diff=math.nan,
-                       bound=math.nan, theorem="levscores", panel="a")],
-            path,
-        )
+        emit_csv([FigurePanel.scores("a", np.array([0.5]))], path)
         assert path.read_text().splitlines()[1] == "a,0,0.5,,,,levscores"
+
+    def test_row_index_must_match_position(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text(
+            "panel,j,ell,ell_tilde,rel_diff,bound,theorem\n"
+            "a,0,0.5,,,,levscores\n"
+            "a,2,0.5,,,,levscores\n"
+        )
+        with pytest.raises(ValueError, match="out of order"):
+            parse_csv(path)
 
 
 class TestSVG:
-    def test_valid_xml_and_point_count(self, tmp_path, fig1_rows):
+    def test_valid_xml_and_point_count(self, tmp_path, fig1_panels):
         path = tmp_path / "fig.svg"
-        emit_svg(fig1_rows, path, title="smoke")
+        emit_svg(fig1_panels, path, title="smoke")
         tree = ET.parse(path)
         ns = {"svg": "http://www.w3.org/2000/svg"}
         circles = tree.findall(".//svg:circle", ns)
         rel_points = [
             c for c in circles if c.attrib.get("class") == "pt-rel"
         ]
-        defined = sum(1 for r in fig1_rows if not math.isnan(r.rel_diff))
+        defined = sum(int(np.count_nonzero(~np.isnan(p.rel_diff))) for p in fig1_panels)
         assert len(rel_points) == defined
         lev_points = [c for c in circles if c.attrib.get("class") == "pt-lev"]
         assert len(lev_points) == 1000
 
     def test_zero_clipped_to_floor(self, tmp_path):
-        rows = [
-            FigureRow(j=0, ell=0.5, ell_tilde=0.5, rel_diff=0.0,
-                      bound=1e-7, theorem="T3_4", panel="a"),
-            FigureRow(j=1, ell=0.5, ell_tilde=0.5, rel_diff=1e-8,
-                      bound=1e-7, theorem="T3_4", panel="a"),
-        ]
+        panel = make_panel("T3_4", [0.0, 1e-8], [1e-7, 1e-7])
         path = tmp_path / "clip.svg"
-        emit_svg(rows, path)
+        emit_svg([panel], path)
         tree = ET.parse(path)
         ns = {"svg": "http://www.w3.org/2000/svg"}
         circles = [
@@ -208,8 +256,8 @@ class TestSVG:
 class TestRunFigure:
     def test_emits_files(self, tmp_path):
         cfg = ExperimentConfig(figure="fig4", seed=SEED, output_dir=str(tmp_path))
-        rows, csv_path, svg_path = run_figure(cfg)
-        assert rows
+        panels, csv_path, svg_path = run_figure(cfg)
+        assert panels
         assert (tmp_path / "fig4.csv").exists()
         assert (tmp_path / "fig4.svg").exists()
 
