@@ -347,8 +347,8 @@ def delta_q_first_order(a, delta):
     delta = as_matrix(delta, "delta")
     if not delta.any():
         return np.zeros_like(a)
-    q, r, sigma = full_rank_qr(a)
-    product = two_norm(delta) / float(sigma[-1])
+    q, r, svd_r = full_rank_qr(a)
+    product = two_norm(delta) / float(svd_r.sigma[-1])
     if not product < 1.0:
         raise HypothesisError(
             f"first-order prediction needs ||delta||_2 ||pinv(a)||_2 < 1, "

@@ -48,8 +48,14 @@ from .generate import (
     stepped_orthonormal_spec,
 )
 from .io import format_float, read_matrix, write_matrix
-from .leverage import leverage_qr, matrix_stats, relative_diffs
-from .linalg import RankDeficiencyError, householder_qr
+from .leverage import (
+    full_rank_qr,
+    leverage_from_basis,
+    leverage_qr,
+    matrix_stats,
+    relative_diffs,
+)
+from .linalg import RankDeficiencyError
 from .perturb import PerturbationSpec, make_perturbation, measure
 
 GEN_PRESETS = {
@@ -193,14 +199,14 @@ def _componentwise_eta(a, delta):
 def cmd_bounds(args):
     a = read_matrix(args.matrix)
     delta = read_matrix(args.delta)
-    lev = leverage_qr(a)
-    lev_tilde = leverage_qr(a + delta)
+    q = full_rank_qr(a)[0]
+    lev = leverage_from_basis(q)
+    q_tilde = full_rank_qr(a + delta)[0]
+    lev_tilde = leverage_from_basis(q_tilde)
     rel = relative_diffs(lev, lev_tilde)
 
     name = args.name
     if name in ("t1", "c1"):
-        q = householder_qr(a).q
-        q_tilde = householder_qr(a + delta).q
         angles = principal_angles(q, q_tilde)
         if name == "t1":
             report = bound_t1(lev, angles, observed=np.abs(lev_tilde - lev))

@@ -20,8 +20,8 @@ fig2  stepped orthonormal and ill-conditioned matrices under a
 fig3  Frobenius Gaussian perturbations eps_f = 1e-8 (a) and
       1e-5 (b); T3_1 bound.
 fig4  eps_f = 1e-8 supported on rows 500..749 (a), and with the
-      matrix's own row scaling (b); T3_2 bound. fig4_panels runs the
-      same experiment with any bound (acceptance evaluates T3_3).
+      matrix's own row scaling (b); T3_2 bound. fig4_panels evaluates
+      several bounds on one run (acceptance adds T3_3).
 fig5  componentwise row-scaled perturbations with eta_j = 1e-8 on
       the well- and ill-conditioned matrices; T3_4 bound.
 """
@@ -213,12 +213,13 @@ def run_fig3(cfg):
     return panels
 
 
-def fig4_panels(cfg, bound):
+def fig4_panels(cfg, bounds):
     """
-    The fig4 experiment with any bound of the form
+    The fig4 experiment under each of several bounds of the form
     bound(stats, metrics, observed=rel): a Frobenius perturbation of
     size eps_f on rows row_start..row_stop-1 (panel a), and one with
-    the stepped Gaussian's own row scaling (panel b).
+    the stepped Gaussian's own row scaling (panel b). Returns one
+    panel list per bound; every bound reads the same factorizations.
     """
     eps_f = cfg.overrides.get("eps_f", 1e-8)
     row_start = cfg.overrides.get("row_start", 500)
@@ -232,19 +233,20 @@ def fig4_panels(cfg, bound):
         ("a", row_subset_perturbation(a, row_start, row_stop, eps_f, rngs[1])),
         ("b", same_row_scaling_perturbation(stepped_gaussian(rngs[2]), eps_f)),
     ]
-    panels = []
+    per_bound = [[] for _ in bounds]
     for panel, delta in deltas:
         metrics = measure(a, delta)
         lev_tilde = leverage_qr(a + delta)
         rel = relative_diffs(lev, lev_tilde)
-        report = bound(stats, metrics, observed=rel)
-        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
-    return panels
+        for panels, bound in zip(per_bound, bounds):
+            report = bound(stats, metrics, observed=rel)
+            panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+    return per_bound
 
 
 def run_fig4(cfg):
     """Row-localized and row-scaled Frobenius perturbations; T3_2 bound."""
-    return fig4_panels(cfg, bound_t3_2)
+    return fig4_panels(cfg, (bound_t3_2,))[0]
 
 
 def run_fig5(cfg):

@@ -6,8 +6,9 @@ The leverage score of row j is the squared two-norm of row j of any
 orthonormal basis for the column space. Scores lie in [0, 1] and sum
 to the column count. Two computation routes are provided: through a
 Householder QR decomposition and through the singular value
-decomposition; they agree to near machine precision and serve as
-mutual oracles.
+decomposition. On a tall matrix the SVD route reduces through the same
+Householder QR, so its agreement with the QR route checks the Jacobi
+step, not the range of Q.
 """
 
 from dataclasses import dataclass
@@ -72,18 +73,19 @@ def _require_full_rank(sigma, m):
 def full_rank_qr(a):
     """
     Householder QR of an m x n matrix, m >= n, checked for full rank
-    through the singular values of r. Returns (q, r, sigma); rank
-    deficiency raises RankDeficiencyError carrying the
-    sigma_min/sigma_max ratio.
+    through the singular values of r. Returns (q, r, svd_r), where
+    svd_r is the full Jacobi SvdResult of r, so q @ svd_r.u holds the
+    left singular vectors of a; rank deficiency raises
+    RankDeficiencyError carrying the sigma_min/sigma_max ratio.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
     if m < n:
         raise ValueError(f"need m >= n, got shape {a.shape}")
     q, r = householder_qr(a)
-    sigma = jacobi_svd(r).sigma
-    _require_full_rank(sigma, m)
-    return q, r, sigma
+    svd_r = jacobi_svd(r)
+    _require_full_rank(svd_r.sigma, m)
+    return q, r, svd_r
 
 
 def leverage_qr(a):
@@ -101,7 +103,9 @@ def leverage_svd(a):
     """
     Leverage scores as squared row norms of the left singular vectors.
 
-    Same contract as leverage_qr; serves as its independent oracle.
+    Same contract as leverage_qr. A tall matrix is reduced by the same
+    Householder QR before the Jacobi sweeps, so this is not an
+    independent check of the QR's range.
     """
     a = as_matrix(a, "a")
     m, n = a.shape

@@ -248,9 +248,9 @@ def measure(a, delta):
         raise ValueError(
             f"dimension mismatch: a is {a.shape}, delta is {delta.shape}"
         )
-    q, _, sigma = full_rank_qr(a)
+    q, _, svd_r = full_rank_qr(a)
 
-    a_two = float(sigma[0])
+    a_two = float(svd_r.sigma[0])
     a_fro = float(np.linalg.norm(a, "fro"))
     perp = project_complement(q, delta)
 

@@ -13,8 +13,11 @@ first clause (decade profile at 1e-8) is asserted separately below.
 import numpy as np
 import pytest
 
-from qrlev import acceptance
+from qrlev import acceptance, leverage
 from qrlev.experiments import FigurePanel
+from qrlev.generate import gaussian_matrix, random_orthonormal, randsvd_matrix
+from qrlev.leverage import leverage_from_basis, leverage_qr, leverage_svd
+from qrlev.linalg import householder_qr
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +197,99 @@ def test_criterion_6_fails_on_one_index_beyond_the_cap(source, figure, name, the
     assert not res.passed
     assert res.detail.endswith(f" FAILED: {theorem} {figure}/{name}")
     assert f"{theorem}/{name} frac 0.995 worst 11.00" in res.detail
+
+
+def _ensemble_item_reference(a, rng):
+    """
+    The ensemble item as computed before the factorization was shared:
+    three Householder QRs and two Jacobi SVDs per matrix.
+    """
+    n = a.shape[1]
+    lev_q = leverage_qr(a)
+    lev_s = leverage_svd(a)
+    oracle_diff = float(np.max(np.abs(lev_q - lev_s)))
+    q = householder_qr(a).q
+    w = random_orthonormal(n, n, rng)
+    basis_diff = float(
+        np.max(np.abs(leverage_from_basis(q @ w) - leverage_from_basis(q)))
+    )
+    return lev_q, oracle_diff, basis_diff, n
+
+
+def _item_bytes(item):
+    lev_q, oracle_diff, basis_diff, n = item
+    return (
+        lev_q.tobytes(),
+        np.float64(oracle_diff).tobytes(),
+        np.float64(basis_diff).tobytes(),
+        n,
+    )
+
+
+@pytest.mark.parametrize(
+    ("m", "n", "kappa"),
+    [
+        (40, 1, None),
+        (300, 1, 1e6),
+        (26, 25, None),
+        (1000, 25, None),
+        (500, 12, 1e6),
+        (200, 25, 1e6),
+        (60, 3, 1e3),
+    ],
+)
+def test_ensemble_item_is_bitwise_the_three_factorization_recipe(m, n, kappa):
+    rng = np.random.default_rng([m, n])
+    if kappa is None:
+        a = gaussian_matrix(m, n, rng)
+    else:
+        a = randsvd_matrix(m, n, kappa, rng)
+    shared = acceptance._ensemble_item(a, np.random.default_rng(9))
+    reference = _ensemble_item_reference(a, np.random.default_rng(9))
+    assert _item_bytes(shared) == _item_bytes(reference)
+
+
+@pytest.mark.parametrize(("n", "kappa"), [(1, None), (2, None), (25, None), (12, 1e6)])
+def test_ensemble_item_on_square_input_agrees_within_criterion_2(n, kappa):
+    # jacobi_svd skips the QR on square input, so leverage_svd sweeps a
+    # itself while the shared route sweeps R: the SVD scores agree only
+    # to rounding. The ensemble draws no m == n matrix at seeds 0, 3, 7,
+    # 12 or 42, so its criterion 2 values are bitwise unchanged there.
+    rng = np.random.default_rng(n)
+    a = gaussian_matrix(n, n, rng) if kappa is None else randsvd_matrix(n, n, kappa, rng)
+    lev_q, oracle_diff, basis_diff, _ = acceptance._ensemble_item(
+        a, np.random.default_rng(9)
+    )
+    ref_q, ref_oracle, ref_basis, _ = _ensemble_item_reference(
+        a, np.random.default_rng(9)
+    )
+    assert lev_q.tobytes() == ref_q.tobytes()
+    assert basis_diff == ref_basis
+    assert oracle_diff <= 1e-12
+    assert abs(oracle_diff - ref_oracle) <= 1e-12
+
+
+def test_ensemble_matches_the_three_factorization_recipe(monkeypatch):
+    monkeypatch.setattr(acceptance, "ENSEMBLE_SIZE", 12)
+    shared = acceptance._build_ensemble(acceptance.DEFAULT_SEED)
+    monkeypatch.setattr(acceptance, "_ensemble_item", _ensemble_item_reference)
+    reference = acceptance._build_ensemble(acceptance.DEFAULT_SEED)
+    assert [_item_bytes(i) for i in shared] == [_item_bytes(i) for i in reference]
+
+
+def test_ensemble_factors_each_matrix_once(monkeypatch):
+    size = 6
+    monkeypatch.setattr(acceptance, "ENSEMBLE_SIZE", size)
+    calls = {"householder_qr": 0, "jacobi_svd": 0}
+    for module in (acceptance, leverage):
+        for name in calls:
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    assert len(acceptance._build_ensemble(acceptance.DEFAULT_SEED)) == size
+    assert calls == {"householder_qr": size, "jacobi_svd": size}

@@ -7,6 +7,8 @@ from qrlev.bounds import (
     EXACT_ABS_SLACK,
     EXACT_REL_SLACK,
     FIRST_ORDER_CAP,
+    bound_t3_2,
+    bound_t3_3,
 )
 from qrlev.experiments import (
     BoundViolationError,
@@ -15,6 +17,7 @@ from qrlev.experiments import (
     FigurePanel,
     emit_csv,
     emit_svg,
+    fig4_panels,
     parse_csv,
     run_fig1,
     run_fig2,
@@ -130,6 +133,20 @@ class TestOtherFigures:
         ).max()
         # Same-row-scaling panel: the bound is essentially flat.
         assert bnd_b.max() / bnd_b.min() <= 2.0
+
+    def test_fig4_panels_multi_bound_equals_single_bound_runs(self):
+        cfg = ExperimentConfig(figure="fig4", seed=SEED)
+        bounds = (bound_t3_2, bound_t3_3)
+        for shared, bound in zip(fig4_panels(cfg, bounds), bounds):
+            alone = fig4_panels(cfg, (bound,))[0]
+            assert [(p.name, p.theorem) for p in shared] == [
+                (p.name, p.theorem) for p in alone
+            ]
+            for p, q in zip(shared, alone):
+                for col in ("ell", "ell_tilde", "rel_diff", "bound"):
+                    assert np.array_equal(
+                        getattr(p, col), getattr(q, col), equal_nan=True
+                    ), (p.theorem, p.name, col)
 
     def test_fig5_eta_zero_control(self):
         cfg = ExperimentConfig(figure="fig5", seed=SEED, overrides={"eta": 0.0})
