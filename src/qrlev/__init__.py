@@ -18,7 +18,6 @@ from .bounds import (
     bound_t3_4,
     check_policy,
     delta_q_first_order,
-    first_order_policy_ok,
     qr_q_difference,
     rdot_rinv,
     sandwich_holds,
@@ -55,13 +54,11 @@ from .leverage import (
 )
 from .linalg import (
     ConvergenceError,
-    MatrixNorms,
     RankDeficiencyError,
     SvdResult,
     ThinQR,
     householder_qr,
     jacobi_svd,
-    matrix_norms,
     project_complement,
     triu_half,
     two_norm,

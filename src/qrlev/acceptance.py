@@ -20,6 +20,7 @@ import numpy as np
 
 from .angles import principal_angles, sin_theta_max_projector
 from .bounds import (
+    SANDWICH_SLACK,
     bound_t1,
     bound_t3_2,
     bound_t3_3,
@@ -187,8 +188,7 @@ def criterion_5(ctx):
         lev = leverage_from_basis(q)
         lev_tilde = leverage_from_basis(q_tilde)
         report = bound_t1(lev, principal_angles(q, q_tilde))
-        holds = sandwich_holds(report, lev_tilde, slack=1e-12)
-        if not holds.all():
+        if not sandwich_holds(report, lev_tilde).all():
             all_hold = False
         excess = max(
             float(np.max(report.lower - lev_tilde)),
@@ -209,7 +209,7 @@ def criterion_5(ctx):
         "m=2n sandwich",
         passed,
         f"{SANDWICH_INSTANCES} instances: worst enclosure excess {worst_excess:.2e} "
-        f"(slack 1e-12); complement flip error {flip_err:.2e} (tol 1e-12)",
+        f"(slack {SANDWICH_SLACK:g}); complement flip error {flip_err:.2e} (tol 1e-12)",
     )
 
 

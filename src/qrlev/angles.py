@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, check_orthonormal, jacobi_svd, project_complement
-
-# Inputs must be orthonormal to this Gram residual.
-ANGLE_BASIS_TOL = 1e-10
+from .linalg import (
+    BASIS_TOL,
+    as_matrix,
+    check_orthonormal,
+    jacobi_svd,
+    project_complement,
+)
 
 # Above this cosine the naive sine sqrt(1 - c**2) has lost half its
 # digits, so the projected-matrix singular values are used instead.
@@ -45,8 +48,8 @@ def _checked_pair(q, q_tilde):
         raise ValueError(
             f"dimension mismatch: q is {q.shape}, q_tilde is {q_tilde.shape}"
         )
-    check_orthonormal(q, ANGLE_BASIS_TOL, "q")
-    check_orthonormal(q_tilde, ANGLE_BASIS_TOL, "q_tilde")
+    check_orthonormal(q, BASIS_TOL, "q")
+    check_orthonormal(q_tilde, BASIS_TOL, "q_tilde")
     return q, q_tilde
 
 
@@ -58,7 +61,7 @@ def principal_angles(q, q_tilde):
     ----------
     q, q_tilde : (m, n) array_like
         Matrices with orthonormal columns (Gram residual at most
-        ANGLE_BASIS_TOL).
+        BASIS_TOL).
 
     Returns
     -------
@@ -73,7 +76,7 @@ def principal_angles(q, q_tilde):
     small = cosines > SMALL_ANGLE_COS
     if small.any():
         projected = jacobi_svd(
-            project_complement(q, q_tilde, tol=ANGLE_BASIS_TOL)
+            project_complement(q, q_tilde, tol=BASIS_TOL)
         ).sigma
         accurate = np.clip(projected[::-1], 0.0, 1.0)  # ascending
         sines = np.where(small, accurate, sines)
@@ -86,7 +89,7 @@ def sin_theta_max_projector(q, q_tilde):
     ||(I - q q.T) q_tilde||_2. Agrees with principal_angles(...).sines[-1].
     """
     q, q_tilde = _checked_pair(q, q_tilde)
-    projected = project_complement(q, q_tilde, tol=ANGLE_BASIS_TOL)
+    projected = project_complement(q, q_tilde, tol=BASIS_TOL)
     if not projected.any():
         return 0.0
     return float(min(jacobi_svd(projected).sigma[0], 1.0))

@@ -15,11 +15,14 @@ T3_2         first order, recognizes row scaling (local + global term)
 T3_3         first order, projected variant of T3_2
 T3_4         first order, componentwise row-scaled perturbations
 
-The exact bounds (T1, C1, T2, T3_1) carry no dropped terms and must
-hold outright; T3_2 through T3_4 are first order, so verification
-allows the documented outlier slack (99 percent of indices within the
-bound, all indices within 10x). check_policy is the one place either
-rule is applied.
+Each bound_* evaluator only evaluates: it reads the scores and the
+perturbation sizes and returns the per-index bound, never the observed
+differences. The exact bounds (T1, C1, T2, T3_1) carry no dropped
+terms and must hold outright; T3_2 through T3_4 are first order, so
+verification allows the documented outlier slack (99 percent of
+indices within the bound, all indices within 10x). check_policy is
+the one place either rule is applied, by the callers that read a
+verdict.
 """
 
 import math
@@ -39,6 +42,9 @@ EXACT_ABS_SLACK = 1e-12
 # First-order outlier policy.
 FIRST_ORDER_HOLD_FRACTION = 0.99
 FIRST_ORDER_CAP = 10.0
+
+# Slack of the two-sided T1 enclosure: floating-point evaluation only.
+SANDWICH_SLACK = 1e-12
 
 
 class HypothesisError(ValueError):
@@ -96,39 +102,16 @@ def check_policy(observed, bound, first_order):
 
 @dataclass
 class BoundReport:
-    """Evaluated bound with optional observed differences."""
+    """One evaluated bound, per index."""
 
     theorem: str
     per_index_bound: np.ndarray
-    observed: np.ndarray = None
-    holds: np.ndarray = None
     lower: np.ndarray = None   # sandwich only
     upper: np.ndarray = None   # sandwich only
 
     @property
     def first_order(self):
         return self.theorem in FIRST_ORDER_TAGS
-
-
-def _attach(report, observed):
-    if observed is None:
-        return report
-    observed = np.asarray(observed, dtype=np.float64)
-    if observed.shape != report.per_index_bound.shape:
-        raise ValueError("observed differences have the wrong length")
-    report.observed = observed
-    report.holds = check_policy(observed, report.per_index_bound, report.first_order).holds
-    return report
-
-
-def first_order_policy_ok(report):
-    """
-    Aggregate check for a first-order report under check_policy's
-    first-order outlier policy.
-    """
-    if report.observed is None:
-        raise ValueError("report has no observed differences attached")
-    return check_policy(report.observed, report.per_index_bound, first_order=True).ok
 
 
 def _as_scores(lev):
@@ -146,7 +129,7 @@ def _safe_ratio(num, lev):
     return out
 
 
-def bound_t1(lev, angles, observed=None):
+def bound_t1(lev, angles):
     """
     Absolute-difference bound from principal angles:
     2 sqrt(l (1 - l)) cos(theta_min) sin(theta_max) + sin(theta_max)**2.
@@ -166,18 +149,19 @@ def bound_t1(lev, angles, observed=None):
         co_root = np.sqrt(1.0 - clipped)
         report.lower = 1.0 - (sn * root + c1 * co_root) ** 2
         report.upper = (c1 * root + sn * co_root) ** 2
-    return _attach(report, observed)
+    return report
 
 
-def sandwich_holds(report, pert_lev, slack=1e-12):
+def sandwich_holds(report, pert_lev):
     """Check the two-sided enclosure against perturbed scores."""
     if report.lower is None or report.upper is None:
         raise ValueError("report carries no sandwich bounds")
     pert_lev = _as_scores(pert_lev)
-    return (pert_lev >= report.lower - slack) & (pert_lev <= report.upper + slack)
+    low, high = report.lower - SANDWICH_SLACK, report.upper + SANDWICH_SLACK
+    return (pert_lev >= low) & (pert_lev <= high)
 
 
-def bound_c1(lev, angles, observed=None):
+def bound_c1(lev, angles):
     """
     Relative-difference bound from principal angles:
     2 sqrt((1 - l)/l) cos(theta_min) sin(theta_max)
@@ -189,7 +173,7 @@ def bound_c1(lev, angles, observed=None):
     clipped = np.clip(lev, 0.0, 1.0)
     term1 = 2.0 * np.sqrt(_safe_ratio(1.0 - clipped, clipped)) * c1 * sn
     bound = term1 + _safe_ratio(sn**2, clipped)
-    return _attach(BoundReport(theorem="C1_rel", per_index_bound=bound), observed)
+    return BoundReport(theorem="C1_rel", per_index_bound=bound)
 
 
 def _check_hypothesis(product, limit, strict, tag):
@@ -201,7 +185,7 @@ def _check_hypothesis(product, limit, strict, tag):
     )
 
 
-def bound_t2(lev, stats, metrics, observed=None):
+def bound_t2(lev, stats, metrics):
     """
     Two-norm perturbation bounds; returns the (projected, general)
     pair of reports.
@@ -222,12 +206,13 @@ def bound_t2(lev, stats, metrics, observed=None):
     ke = kappa * metrics.eps_two
     gen = (2.0 * ratio + _safe_ratio(ke, clipped)) * ke
 
-    projected = _attach(BoundReport(theorem="T2_perp", per_index_bound=proj), observed)
-    general = _attach(BoundReport(theorem="T2_gen", per_index_bound=gen), observed)
-    return projected, general
+    return (
+        BoundReport(theorem="T2_perp", per_index_bound=proj),
+        BoundReport(theorem="T2_gen", per_index_bound=gen),
+    )
 
 
-def bound_t3_1(lev, stats, metrics, observed=None):
+def bound_t3_1(lev, stats, metrics):
     """
     Frobenius-perturbation bound through a QR decomposition:
     12 (sqrt((1-l)/l) + 3 kappa2 sqrt(sr) eps_f / l) kappa2 sqrt(sr) eps_f.
@@ -242,10 +227,10 @@ def bound_t3_1(lev, stats, metrics, observed=None):
     kse = kappa * np.sqrt(stats.stable_rank) * metrics.eps_fro
     ratio = np.sqrt(_safe_ratio(1.0 - clipped, clipped))
     bound = 12.0 * (ratio + _safe_ratio(3.0 * kse, clipped)) * kse
-    return _attach(BoundReport(theorem="T3_1", per_index_bound=bound), observed)
+    return BoundReport(theorem="T3_1", per_index_bound=bound)
 
 
-def bound_t3_2(stats, metrics, observed=None):
+def bound_t3_2(stats, metrics):
     """
     First-order bound that recognizes row scaling:
     2 (eps_row_j + sqrt(2) sqrt(sr) eps_f) kappa2.
@@ -258,10 +243,10 @@ def bound_t3_2(stats, metrics, observed=None):
     _check_hypothesis(metrics.eps_two * kappa, 1.0, True, "T3_2")
     global_term = np.sqrt(2.0 * stats.stable_rank) * metrics.eps_fro
     bound = 2.0 * (metrics.eps_row + global_term) * kappa
-    return _attach(BoundReport(theorem="T3_2", per_index_bound=bound), observed)
+    return BoundReport(theorem="T3_2", per_index_bound=bound)
 
 
-def bound_t3_3(stats, metrics, observed=None):
+def bound_t3_3(stats, metrics):
     """
     First-order projected variant of bound_t3_2:
     4 (eps_row_perp_j + sqrt(2) sqrt(sr) eps_f_perp) kappa2.
@@ -272,10 +257,10 @@ def bound_t3_3(stats, metrics, observed=None):
     _check_hypothesis(metrics.eps_two * kappa, 0.5, False, "T3_3")
     global_term = np.sqrt(2.0 * stats.stable_rank) * metrics.eps_fro_perp
     bound = 4.0 * (metrics.eps_row_perp + global_term) * kappa
-    return _attach(BoundReport(theorem="T3_3", per_index_bound=bound), observed)
+    return BoundReport(theorem="T3_3", per_index_bound=bound)
 
 
-def bound_t3_4(eta, n, kappa2=None, observed=None):
+def bound_t3_4(eta, n, kappa2=None):
     """
     First-order bound for componentwise row-scaled perturbations:
     2 (eta_j + sqrt(2) n max(eta)).
@@ -295,7 +280,7 @@ def bound_t3_4(eta, n, kappa2=None, observed=None):
             f"T3_4 needs max(eta) * kappa2 < 1, got {eta_max * kappa2:.3e}"
         )
     bound = 2.0 * (eta + np.sqrt(2.0) * n * eta_max)
-    return _attach(BoundReport(theorem="T3_4", per_index_bound=bound), observed)
+    return BoundReport(theorem="T3_4", per_index_bound=bound)
 
 
 @dataclass(frozen=True)
@@ -304,6 +289,13 @@ class RdotRinv:
 
     matrix: np.ndarray  # n x n upper triangular
     fro_norm: float
+
+
+def _rdot_rinv_matrix(q, r, delta, eps_f):
+    """(1 / eps_f) * triu_half(c + c.T) with c = q.T delta r**-1."""
+    # c via a triangular solve on the transpose.
+    c = solve_upper(r, (q.T @ delta).T, transpose=True).T
+    return triu_half(c + c.T) / eps_f
 
 
 def rdot_rinv(a, delta):
@@ -327,9 +319,7 @@ def rdot_rinv(a, delta):
     if eps_f == 0.0:
         raise ValueError("delta must be nonzero")
     q, r, _ = full_rank_qr(a)
-    # c = (q.T delta) r**-1 via a triangular solve on the transpose.
-    c = solve_upper(r, (q.T @ delta).T, transpose=True).T
-    matrix = triu_half(c + c.T) / eps_f
+    matrix = _rdot_rinv_matrix(q, r, delta, eps_f)
     return RdotRinv(matrix=matrix, fro_norm=float(np.linalg.norm(matrix, "fro")))
 
 
@@ -355,8 +345,7 @@ def delta_q_first_order(a, delta):
             f"got {product:.3e}"
         )
     eps_f = float(np.linalg.norm(delta, "fro")) / float(np.linalg.norm(a, "fro"))
-    c = solve_upper(r, (q.T @ delta).T, transpose=True).T
-    rr = triu_half(c + c.T) / eps_f
+    rr = _rdot_rinv_matrix(q, r, delta, eps_f)
     return solve_upper(r, delta.T, transpose=True).T - eps_f * (q @ rr)
 
 

@@ -11,7 +11,8 @@ bounds     evaluate a named bound for a matrix/perturbation pair
 figure     run one figure experiment and emit CSV + SVG
 check      run the full acceptance suite (nonzero exit on failure)
 
-Common flags: --seed, --out, --config, --format.
+Each subcommand accepts only the shared flags (--seed, --out,
+--config, --format) that it reads.
 """
 
 import argparse
@@ -66,15 +67,16 @@ GEN_PRESETS = {
 BOUND_NAMES = ("t1", "c1", "t2", "t3_1", "t3_2", "t3_3", "t3_4")
 
 
-def _add_common(parser, out_default=None):
-    parser.add_argument(
-        "--seed", type=int, default=None, help="RNG seed (deterministic default)"
-    )
-    parser.add_argument("--out", default=out_default, help="output path or directory")
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="report format"
-    )
+def _add_common(parser, *flags, out_default=None):
+    """Add the shared flags a subcommand reads; each is spelled only here."""
+    specs = {
+        "--seed": dict(type=int, default=None, help="RNG seed (deterministic default)"),
+        "--out": dict(default=out_default, help="output path or directory"),
+        "--config": dict(help="JSON config file"),
+        "--format": dict(choices=("csv", "json"), default="csv", help="report format"),
+    }
+    for flag in flags:
+        parser.add_argument(flag, **specs[flag])
 
 
 def _seed(args, fallback=0):
@@ -90,26 +92,26 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a matrix")
     p.add_argument("--preset", choices=sorted(GEN_PRESETS), help="built-in recipe")
-    _add_common(p, out_default="matrix.txt")
+    _add_common(p, "--seed", "--out", "--config", out_default="matrix.txt")
 
     p = sub.add_parser("perturb", help="generate a perturbation of a matrix file")
     p.add_argument("matrix", help="input matrix file")
-    _add_common(p, out_default="delta.txt")
+    _add_common(p, "--seed", "--out", "--config", out_default="delta.txt")
     p.add_argument("--metrics-out", help="where to write measured magnitudes")
 
     p = sub.add_parser("levscores", help="leverage scores of a matrix file")
     p.add_argument("matrix", help="input matrix file")
-    _add_common(p)
+    _add_common(p, "--out", "--format")
 
     p = sub.add_parser("bounds", help="evaluate a bound for matrix + perturbation files")
     p.add_argument("name", choices=BOUND_NAMES, help="bound to evaluate")
     p.add_argument("--matrix", required=True, help="base matrix file")
     p.add_argument("--delta", required=True, help="perturbation file")
-    _add_common(p)
+    _add_common(p, "--out", "--format")
 
     p = sub.add_parser("figure", help="run a figure experiment")
     p.add_argument("number", type=int, choices=range(1, 6), help="figure number")
-    _add_common(p, out_default=".")
+    _add_common(p, "--seed", "--out", "--config", out_default=".")
     p.add_argument(
         "--no-assert",
         action="store_true",
@@ -117,7 +119,7 @@ def build_parser():
     )
 
     p = sub.add_parser("check", help="run the acceptance suite")
-    _add_common(p)
+    _add_common(p, "--seed")
     return parser
 
 
@@ -206,30 +208,28 @@ def cmd_bounds(args):
     rel = relative_diffs(lev, lev_tilde)
 
     name = args.name
-    if name in ("t1", "c1"):
-        angles = principal_angles(q, q_tilde)
-        if name == "t1":
-            report = bound_t1(lev, angles, observed=np.abs(lev_tilde - lev))
-        else:
-            report = bound_c1(lev, angles, observed=rel)
-        reports = [report]
+    if name == "t1":
+        rel = np.abs(lev_tilde - lev)
+        reports = [bound_t1(lev, principal_angles(q, q_tilde))]
+    elif name == "c1":
+        reports = [bound_c1(lev, principal_angles(q, q_tilde))]
     elif name == "t3_4":
         stats = matrix_stats(a)
         eta = _componentwise_eta(a, delta)
-        reports = [bound_t3_4(eta, a.shape[1], kappa2=stats.kappa2, observed=rel)]
+        reports = [bound_t3_4(eta, a.shape[1], kappa2=stats.kappa2)]
     else:
         stats = matrix_stats(a)
         metrics = measure(a, delta)
         if name == "t2":
-            reports = list(bound_t2(lev, stats, metrics, observed=rel))
+            reports = list(bound_t2(lev, stats, metrics))
         elif name == "t3_1":
-            reports = [bound_t3_1(lev, stats, metrics, observed=rel)]
+            reports = [bound_t3_1(lev, stats, metrics)]
         elif name == "t3_2":
-            reports = [bound_t3_2(stats, metrics, observed=rel)]
+            reports = [bound_t3_2(stats, metrics)]
         else:
-            reports = [bound_t3_3(stats, metrics, observed=rel)]
+            reports = [bound_t3_3(stats, metrics)]
 
-    panels = [FigurePanel.from_report(r.theorem, lev, lev_tilde, r) for r in reports]
+    panels = [FigurePanel.from_report(r.theorem, lev, lev_tilde, rel, r) for r in reports]
     if args.format == "json":
         text = json.dumps(
             [

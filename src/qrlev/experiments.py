@@ -126,10 +126,8 @@ class FigurePanel:
         return cls(name, SCORES_TAG, lev, nan, nan, nan)
 
     @classmethod
-    def from_report(cls, name, lev, lev_tilde, report):
-        return cls(
-            name, report.theorem, lev, lev_tilde, report.observed, report.per_index_bound
-        )
+    def from_report(cls, name, lev, lev_tilde, observed, report):
+        return cls(name, report.theorem, lev, lev_tilde, observed, report.per_index_bound)
 
 
 def _spawn_rngs(seed, count):
@@ -150,12 +148,12 @@ def run_fig1(cfg):
         angles = principal_angles(a, q_tilde)
         lev_tilde = leverage_qr(q_tilde)
         rel = relative_diffs(lev, lev_tilde)
-        report = bound_c1(lev, angles, observed=rel)
+        report = bound_c1(lev, angles)
         logger.info(
             "fig1 panel %s: target sin %.3e, measured sin %.6e",
             panel, target, angles.sin_theta_max,
         )
-        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, rel, report))
     return panels
 
 
@@ -181,14 +179,14 @@ def run_fig2(cfg):
         metrics = measure(mat, delta)
         lev_tilde = leverage_qr(mat + delta)
         rel = relative_diffs(lev, lev_tilde)
-        projected, general = bound_t2(lev, stats, metrics, observed=rel)
+        projected, general = bound_t2(lev, stats, metrics)
         logger.info(
             "fig2 matrix %s: kappa2 %.3e, eps_two %.3e, measured eps_two_perp %.3e",
             score_panel, stats.kappa2, metrics.eps_two, metrics.eps_two_perp,
         )
         panels.append(FigurePanel.scores(score_panel, lev))
-        panels.append(FigurePanel.from_report(gen_panel, lev, lev_tilde, general))
-        panels.append(FigurePanel.from_report(perp_panel, lev, lev_tilde, projected))
+        panels.append(FigurePanel.from_report(gen_panel, lev, lev_tilde, rel, general))
+        panels.append(FigurePanel.from_report(perp_panel, lev, lev_tilde, rel, projected))
     # Emit in panel order a, b, c, d, e, f.
     panels.sort(key=lambda p: p.name)
     return panels
@@ -208,15 +206,15 @@ def run_fig3(cfg):
         metrics = measure(a, delta)
         lev_tilde = leverage_qr(a + delta)
         rel = relative_diffs(lev, lev_tilde)
-        report = bound_t3_1(lev, stats, metrics, observed=rel)
-        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+        report = bound_t3_1(lev, stats, metrics)
+        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, rel, report))
     return panels
 
 
 def fig4_panels(cfg, bounds):
     """
     The fig4 experiment under each of several bounds of the form
-    bound(stats, metrics, observed=rel): a Frobenius perturbation of
+    bound(stats, metrics): a Frobenius perturbation of
     size eps_f on rows row_start..row_stop-1 (panel a), and one with
     the stepped Gaussian's own row scaling (panel b). Returns one
     panel list per bound; every bound reads the same factorizations.
@@ -239,8 +237,8 @@ def fig4_panels(cfg, bounds):
         lev_tilde = leverage_qr(a + delta)
         rel = relative_diffs(lev, lev_tilde)
         for panels, bound in zip(per_bound, bounds):
-            report = bound(stats, metrics, observed=rel)
-            panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+            report = bound(stats, metrics)
+            panels.append(FigurePanel.from_report(panel, lev, lev_tilde, rel, report))
     return per_bound
 
 
@@ -271,8 +269,8 @@ def run_fig5(cfg):
         delta = componentwise_row_perturbation(mat, eta, rng)
         lev_tilde = leverage_qr(mat + delta)
         rel = relative_diffs(lev, lev_tilde)
-        report = bound_t3_4(eta, mat.shape[1], kappa2=stats.kappa2, observed=rel)
-        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+        report = bound_t3_4(eta, mat.shape[1], kappa2=stats.kappa2)
+        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, rel, report))
     return panels
 
 

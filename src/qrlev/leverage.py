@@ -16,16 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    BASIS_TOL,
     RankDeficiencyError,
     as_matrix,
-    gram_residual,
+    check_orthonormal,
     householder_qr,
     jacobi_svd,
 )
-
-# Gram residual allowed on a basis fed to leverage_from_basis. Looser
-# than the QR kernel's own guarantee so externally produced bases pass.
-BASIS_TOL = 1e-10
 
 # sigma_min > RANK_TOL_FACTOR * m * sigma_max is required for a matrix
 # to count as numerically full rank.
@@ -50,12 +47,7 @@ def leverage_from_basis(q):
     Raises ValueError (naming the Gram residual) if the columns of q
     are not orthonormal to within BASIS_TOL.
     """
-    q = as_matrix(q, "q")
-    res = gram_residual(q)
-    if res > BASIS_TOL:
-        raise ValueError(
-            f"basis is not orthonormal: Gram residual {res:.3e} exceeds {BASIS_TOL:.3e}"
-        )
+    q = check_orthonormal(q, BASIS_TOL, "basis")
     return np.einsum("ij,ij->i", q, q)
 
 
@@ -139,11 +131,11 @@ def matrix_stats(a):
     )
 
 
-def relative_diffs(base, pert, floor=0.0):
+def relative_diffs(base, pert):
     """
     Per-index relative differences |pert - base| / base.
 
-    Entries where base <= floor are undefined and returned as NaN;
+    Entries where base <= 0 are undefined and returned as NaN;
     relative comparisons only make sense for strictly positive scores.
     """
     base = np.asarray(base, dtype=np.float64)
@@ -152,10 +144,8 @@ def relative_diffs(base, pert, floor=0.0):
         raise ValueError(
             f"length mismatch: base has shape {base.shape}, pert has shape {pert.shape}"
         )
-    if floor < 0:
-        raise ValueError("floor must be nonnegative")
     out = np.full(base.shape, np.nan)
-    defined = base > floor
+    defined = base > 0.0
     out[defined] = np.abs(pert[defined] - base[defined]) / base[defined]
     return out
 

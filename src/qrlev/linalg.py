@@ -16,6 +16,11 @@ from scipy.linalg import solve_triangular
 # to the column count.
 ORTH_TOL = 1e-13
 
+# Gram residual allowed on a basis handed in from outside (leverage
+# scores, principal angles, rotations). Looser than the QR kernel's own
+# guarantee so externally produced bases pass.
+BASIS_TOL = 1e-10
+
 # One-sided Jacobi: relative threshold on off-diagonal Gram entries,
 # and the hard sweep limit before giving up.
 JACOBI_TOL = 1e-14
@@ -43,12 +48,6 @@ class SvdResult(NamedTuple):
     u: np.ndarray      # m x k, orthonormal columns
     sigma: np.ndarray  # length k, nonincreasing, nonnegative
     v: np.ndarray      # n x k, orthonormal columns
-
-
-class MatrixNorms(NamedTuple):
-    two_norm: float
-    frobenius_norm: float
-    row_norms: np.ndarray
 
 
 def as_matrix(a, name="matrix"):
@@ -289,32 +288,12 @@ def jacobi_svd(a):
     return SvdResult(u, sigma, v)
 
 
-def singular_values(a):
-    """Singular values only (nonincreasing)."""
-    return jacobi_svd(a).sigma
-
-
 def two_norm(a):
     """Largest singular value of a."""
     a = as_matrix(a, "a")
     if not a.any():
         return 0.0
-    return float(singular_values(a)[0])
-
-
-def matrix_norms(a):
-    """
-    Two-norm, Frobenius norm, and per-row two-norms of a matrix.
-
-    The two-norm is computed as the largest singular value; the
-    Frobenius norm satisfies fro**2 == sum(row_norms**2).
-    """
-    a = as_matrix(a, "a")
-    return MatrixNorms(
-        two_norm=two_norm(a),
-        frobenius_norm=float(np.linalg.norm(a, "fro")),
-        row_norms=np.linalg.norm(a, axis=1),
-    )
+    return float(jacobi_svd(a).sigma[0])
 
 
 def project_complement(q, x, tol=None):

@@ -31,6 +31,7 @@ import numpy as np
 from .generate import make_rng
 from .leverage import full_rank_qr
 from .linalg import (
+    BASIS_TOL,
     as_matrix,
     check_orthonormal,
     householder_qr,
@@ -46,9 +47,6 @@ PERTURBATION_KINDS = (
     "same_row_scaling",
     "componentwise_rows",
 )
-
-# Orthonormality required of the basis handed to the rotation family.
-ROTATION_BASIS_TOL = 1e-10
 
 
 @dataclass
@@ -113,7 +111,7 @@ def rotation_perturbation(q, target_sin, rng):
     """
     q = as_matrix(q, "q")
     m, n = q.shape
-    check_orthonormal(q, ROTATION_BASIS_TOL, "q")
+    check_orthonormal(q, BASIS_TOL, "q")
     if not 0.0 <= target_sin < 1.0:
         raise ValueError(f"target_sin must lie in [0, 1), got {target_sin}")
     if m < 2 * n:

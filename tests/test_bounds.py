@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qrlev import bounds
+from qrlev.acceptance import DEFAULT_SEED, RDOT_PAIRS, _rngs
 from qrlev.angles import PrincipalAngles, principal_angles
 from qrlev.bounds import (
     EXACT_ABS_SLACK,
@@ -16,14 +18,13 @@ from qrlev.bounds import (
     bound_t3_4,
     check_policy,
     delta_q_first_order,
-    first_order_policy_ok,
     qr_q_difference,
     rdot_rinv,
     sandwich_holds,
 )
 from qrlev.generate import gaussian_matrix, random_orthonormal, randsvd_matrix
-from qrlev.leverage import MatrixStats, leverage_from_basis, matrix_stats
-from qrlev.linalg import householder_qr, project_complement, solve_upper
+from qrlev.leverage import MatrixStats, full_rank_qr, leverage_from_basis, matrix_stats
+from qrlev.linalg import householder_qr, project_complement, solve_upper, triu_half
 from qrlev.perturb import PerturbationMetrics, measure, normwise_perturbation
 
 
@@ -87,8 +88,9 @@ class TestBoundT1:
 
     def test_holds_with_observed(self):
         lev = np.array([0.2, 0.8])
-        report = bound_t1(lev, angles_of(1e-4), observed=np.array([1e-9, 1e-9]))
-        assert report.holds.all()
+        report = bound_t1(lev, angles_of(1e-4))
+        observed = np.array([1e-9, 1e-9])
+        assert check_policy(observed, report.per_index_bound, report.first_order).ok
 
 
 class TestBoundC1:
@@ -113,8 +115,9 @@ class TestBoundC1:
         q_tilde = rotation_perturbation(q, 1e-5, rng)
         lev = leverage_from_basis(q)
         rel = np.abs(leverage_from_basis(q_tilde) - lev) / lev
-        report = bound_c1(lev, principal_angles(q, q_tilde), observed=rel)
-        assert report.holds.all()
+        report = bound_c1(lev, principal_angles(q, q_tilde))
+        assert not report.first_order
+        assert check_policy(rel, report.per_index_bound, report.first_order).holds.all()
 
 
 class TestBoundT2:
@@ -276,26 +279,28 @@ def test_monotone_in_perturbation_magnitude():
 def test_first_order_policy():
     # Bound is ~7.27e-7 everywhere; the policy allows 1 percent of
     # indices above it as long as nothing exceeds ten times it.
-    eta = np.full(100, 1e-8)
-    report = bound_t3_4(eta, 25, observed=np.full(100, 1e-9))
-    assert first_order_policy_ok(report)
-    assert report.holds.all()
+    report = bound_t3_4(np.full(100, 1e-8), 25)
+    assert report.first_order
+
+    def policy(observed):
+        return check_policy(observed, report.per_index_bound, report.first_order)
+
+    check = policy(np.full(100, 1e-9))
+    assert check.ok and check.holds.all()
 
     one_outlier = np.full(100, 1e-9)
     one_outlier[0] = 5e-6  # above bound, below the 10x cap
-    report = bound_t3_4(eta, 25, observed=one_outlier)
-    assert not report.holds[0]
-    assert first_order_policy_ok(report)
+    check = policy(one_outlier)
+    assert not check.holds[0]
+    assert check.ok
 
     two_outliers = one_outlier.copy()
     two_outliers[1] = 1e-6
-    report = bound_t3_4(eta, 25, observed=two_outliers)
-    assert not first_order_policy_ok(report)
+    assert not policy(two_outliers).ok
 
     capped_out = np.full(100, 1e-9)
     capped_out[0] = 8e-6  # beyond ten times the bound
-    report = bound_t3_4(eta, 25, observed=capped_out)
-    assert not first_order_policy_ok(report)
+    assert not policy(capped_out).ok
 
 
 class TestCheckPolicy:
@@ -307,16 +312,6 @@ class TestCheckPolicy:
         over = np.nextafter(edge, np.inf)
         check = check_policy(over, bound, first_order=False)
         assert not check.ok and not check.holds.any() and check.violations == 4
-
-    def test_exact_slack_boundary_through_report(self):
-        lev = np.array([1e-8, 0.3, 0.9])
-        angles = angles_of(1e-5)
-        report = bound_c1(lev, angles)
-        assert not report.first_order
-        edge = report.per_index_bound * (1.0 + EXACT_REL_SLACK) + EXACT_ABS_SLACK
-        assert bound_c1(lev, angles, observed=edge).holds.all()
-        over = np.nextafter(edge, np.inf)
-        assert not bound_c1(lev, angles, observed=over).holds.any()
 
     def test_first_order_fraction_boundary(self):
         bound = np.full(100, 1e-7)
@@ -336,25 +331,6 @@ class TestCheckPolicy:
         assert check.ok and check.worst == FIRST_ORDER_CAP
         obs[0] = np.nextafter(obs[0], np.inf)
         assert not check_policy(obs, bound, first_order=True).ok
-
-    def test_first_order_boundaries_through_report(self):
-        eta = np.full(100, 1e-8)
-        bound = bound_t3_4(eta, 25).per_index_bound
-        obs = bound.copy()
-        report = bound_t3_4(eta, 25, observed=obs)
-        assert report.first_order
-        assert report.holds.all() and first_order_policy_ok(report)
-        obs[0] = np.nextafter(bound[0], np.inf)
-        report = bound_t3_4(eta, 25, observed=obs)
-        assert not report.holds[0] and report.holds[1:].all()
-        assert first_order_policy_ok(report)
-        obs[1] = np.nextafter(bound[1], np.inf)
-        assert not first_order_policy_ok(bound_t3_4(eta, 25, observed=obs))
-        obs[1] = bound[1]
-        obs[0] = FIRST_ORDER_CAP * bound[0]
-        assert first_order_policy_ok(bound_t3_4(eta, 25, observed=obs))
-        obs[0] = np.nextafter(obs[0], np.inf)
-        assert not first_order_policy_ok(bound_t3_4(eta, 25, observed=obs))
 
     def test_undefined_indices_hold_and_are_left_out(self):
         check = check_policy([np.nan, 5.0], [1.0, np.nan], first_order=False)
@@ -457,3 +433,36 @@ class TestDeltaQFirstOrder:
         a = randsvd_matrix(10, 3, 100.0, 17)
         with pytest.raises(HypothesisError, match="first-order"):
             delta_q_first_order(a, 10.0 * a)
+
+    def test_bitwise_the_written_out_formula(self, monkeypatch):
+        # Criterion 11's decay and finite-difference inputs, against the
+        # R-dot R**-1 formula spelled out here: the same bits from the
+        # same number of factorizations and triangular solves.
+        def formula(a, delta):
+            q, r, _ = full_rank_qr(a)
+            eps_f = float(np.linalg.norm(delta, "fro")) / float(np.linalg.norm(a, "fro"))
+            c = solve_upper(r, (q.T @ delta).T, transpose=True).T
+            rr = triu_half(c + c.T) / eps_f
+            return rr, solve_upper(r, delta.T, transpose=True).T - eps_f * (q @ rr)
+
+        counts = {}
+        for name, fn in (("full_rank_qr", full_rank_qr), ("solve_upper", solve_upper)):
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(bounds, name, counted)
+
+        rng = _rngs(DEFAULT_SEED, "rdot", RDOT_PAIRS + 2)[RDOT_PAIRS]
+        a = randsvd_matrix(60, 12, 50.0, rng)
+        direction = gaussian_matrix(60, 12, rng)
+        direction *= np.linalg.norm(a, "fro") / np.linalg.norm(direction, "fro")
+        for eps in (1e-4, 1e-5):
+            delta = eps * direction
+            rr, pred = formula(a, delta)
+            counts.clear()
+            assert rdot_rinv(a, delta).matrix.tobytes() == rr.tobytes()
+            assert delta_q_first_order(a, delta).tobytes() == pred.tobytes()
+            assert counts == {"full_rank_qr": 2, "solve_upper": 3}
+        rr, _ = formula(a, direction)
+        assert rdot_rinv(a, direction).matrix.tobytes() == rr.tobytes()

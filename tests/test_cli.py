@@ -172,3 +172,24 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             run(["figure", "9"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--format", "json"],
+            ["check", "--out", "x"],
+            ["check", "--config", "c.json"],
+            ["levscores", "a.txt", "--seed", "1"],
+            ["levscores", "a.txt", "--config", "c.json"],
+            ["bounds", "t1", "--matrix", "a", "--delta", "d", "--seed", "1"],
+            ["bounds", "t1", "--matrix", "a", "--delta", "d", "--config", "c.json"],
+            ["gen", "--preset", "stepped", "--format", "json"],
+            ["perturb", "a.txt", "--format", "json"],
+            ["figure", "1", "--format", "json"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from qrlev import bounds, experiments
 from qrlev.bounds import (
     EXACT_ABS_SLACK,
     EXACT_REL_SLACK,
@@ -287,3 +288,18 @@ class TestRunFigure:
             _, csv_path, _ = run_figure(cfg, assert_bounds=False)
             blobs.append(open(csv_path, "rb").read())
         assert blobs[0] == blobs[1]
+
+    def test_policy_applied_once_per_bound_panel(self, monkeypatch):
+        # fig1 has three bound panels; the evaluators apply no policy,
+        # so verify_rows is the only caller.
+        calls = []
+        original = bounds.check_policy
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "check_policy", counting)
+        monkeypatch.setattr(experiments, "check_policy", counting)
+        run_figure(ExperimentConfig(figure="fig1", seed=SEED), emit=False)
+        assert len(calls) == 3

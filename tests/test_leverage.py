@@ -162,11 +162,6 @@ class TestRelativeDiffs:
         assert np.isnan(out[0])
         assert out[1] == 0.0
 
-    def test_floor(self):
-        out = relative_diffs(np.array([1e-12, 1e-3]), np.array([2e-12, 2e-3]), floor=1e-6)
-        assert np.isnan(out[0])
-        assert out[1] == pytest.approx(1.0)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             relative_diffs(np.ones(3), np.ones(4))

@@ -9,7 +9,6 @@ from qrlev.linalg import (
     gram_residual,
     householder_qr,
     jacobi_svd,
-    matrix_norms,
     project_complement,
     triu_half,
     two_norm,
@@ -126,29 +125,15 @@ class TestJacobiSVD:
 
 class TestNorms:
     def test_identity(self):
-        norms = matrix_norms(np.eye(4))
-        assert norms.two_norm == pytest.approx(1.0, abs=1e-14)
-        assert norms.frobenius_norm == pytest.approx(2.0)
-        np.testing.assert_allclose(norms.row_norms, 1.0)
+        assert two_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-14)
 
     def test_cross_matrix(self):
-        # Rows are (+-1/2, +-1/2): every row norm is sqrt(1/2); the
-        # columns are orthonormal, so the two-norm is 1.
-        norms = matrix_norms(CROSS)
-        np.testing.assert_allclose(norms.row_norms, np.sqrt(0.5), atol=1e-15)
-        assert norms.two_norm == pytest.approx(1.0, abs=1e-14)
-
-    def test_zero_row_exact(self):
-        a = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
-        assert matrix_norms(a).row_norms[1] == 0.0
+        # The columns are orthonormal, so the two-norm is 1.
+        assert two_norm(CROSS) == pytest.approx(1.0, abs=1e-14)
 
     def test_fro_consistency(self):
         a = np.random.default_rng(3).standard_normal((7, 5))
-        norms = matrix_norms(a)
-        assert norms.frobenius_norm**2 == pytest.approx(
-            float(np.sum(norms.row_norms**2))
-        )
-        assert norms.two_norm <= norms.frobenius_norm + 1e-14
+        assert two_norm(a) <= float(np.linalg.norm(a, "fro")) + 1e-14
 
 
 class TestProjectComplement:
