@@ -15,16 +15,16 @@ from qrlev import (
     stepped_illconditioned,
     stepped_orthonormal,
 )
+from qrlev.generate import STEPPED_BLOCKS
 
 SEED = 42
-BLOCKS = (slice(0, 250), slice(250, 500), slice(500, 750), slice(750, 1000))
 
 a = stepped_orthonormal(SEED)
 lev = leverage_qr(a)
 print("stepped orthonormal matrix, seed", SEED)
 print("  sum of scores (should be 25):", lev.sum())
 print("  score range: %.2e .. %.2e" % (lev.min(), lev.max()))
-for k, block in enumerate(BLOCKS):
+for k, block in enumerate(STEPPED_BLOCKS):
     print(f"  block {k}: median score {np.median(lev[block]):.2e}")
 
 print("  max |QR route - SVD route| =", np.abs(lev - leverage_svd(a)).max())
@@ -39,5 +39,5 @@ stats_b = matrix_stats(b)
 lev_b = leverage_qr(b)
 print("\nill-conditioned companion (similar plateaus, kappa2 ~ 1e6)")
 print(f"  kappa2 = {stats_b.kappa2:.3e}, sum of scores = {lev_b.sum():.6f}")
-for k, block in enumerate(BLOCKS):
+for k, block in enumerate(STEPPED_BLOCKS):
     print(f"  block {k}: median score {np.median(lev_b[block]):.2e}")

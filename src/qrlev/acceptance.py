@@ -32,12 +32,18 @@ from .bounds import (
 )
 from .experiments import (
     ExperimentConfig,
+    FIG4_ROWS,
     FIGURE_RUNNERS,
     emit_csv,
     fig4_panels,
     run_figure,
 )
-from .generate import gaussian_matrix, random_orthonormal, randsvd_matrix
+from .generate import (
+    STEPPED_BLOCKS,
+    gaussian_matrix,
+    random_orthonormal,
+    randsvd_matrix,
+)
 from .leverage import full_rank_qr, leverage_from_basis, matrix_stats
 from .linalg import householder_qr, project_complement, solve_upper
 from .perturb import measure, rotation_perturbation
@@ -48,9 +54,6 @@ ENSEMBLE_SIZE = 200
 ANGLE_PAIRS = 100
 SANDWICH_INSTANCES = 50
 RDOT_PAIRS = 100
-
-# Row blocks of the stepped 1000 x 25 matrices.
-BLOCKS = (slice(0, 250), slice(250, 500), slice(500, 750), slice(750, 1000))
 
 # Decade targets for the block-max relative differences in the
 # stepped experiments at perturbation magnitude 1e-8.
@@ -74,8 +77,8 @@ def _rngs(seed, label, count):
 def _figure(ctx, figure):
     """The figure's panels by name, run once per ctx."""
     if figure not in ctx["figures"]:
-        cfg = ExperimentConfig(figure=figure, seed=ctx["seed"])
-        ctx["figures"][figure] = {p.name: p for p in FIGURE_RUNNERS[figure](cfg)}
+        panels = FIGURE_RUNNERS[figure](ctx["seed"])
+        ctx["figures"][figure] = {p.name: p for p in panels}
     return ctx["figures"][figure]
 
 
@@ -239,7 +242,7 @@ def criterion_6(ctx):
 
 
 def _block_maxes(rel):
-    return [float(np.nanmax(rel[b])) for b in BLOCKS]
+    return [float(np.nanmax(rel[b])) for b in STEPPED_BLOCKS]
 
 
 def criterion_7(ctx):
@@ -270,7 +273,7 @@ def criterion_8(ctx):
     in_decade = [
         t / 10 <= m <= t * 10 for m, t in zip(maxes_a, BLOCK_MAX_TARGETS)
     ]
-    smallest_block_max = float(np.nanmax(fig3["b"].rel_diff[BLOCKS[0]]))
+    smallest_block_max = float(np.nanmax(fig3["b"].rel_diff[STEPPED_BLOCKS[0]]))
     passed = all(in_decade) and smallest_block_max >= 0.1
     return CriterionResult(
         8,
@@ -286,8 +289,8 @@ def criterion_9(ctx):
     """Figure 4 locality and row-scaling uniformity."""
     fig4 = _figure(ctx, "fig4")
     rel_a = fig4["a"].rel_diff
-    pert = float(np.nanmax(rel_a[500:750]))
-    unpert = float(max(np.nanmax(rel_a[:500]), np.nanmax(rel_a[750:])))
+    pert = float(np.nanmax(rel_a[FIG4_ROWS]))
+    unpert = float(np.nanmax(np.delete(rel_a, FIG4_ROWS)))
     ratio = pert / unpert
     # "Span" of panel (b) is read over the central 90 percent of rows:
     # the extreme min of |N(0, s)|-like samples is arbitrarily small,
@@ -314,7 +317,7 @@ def criterion_10(ctx):
     block_ok = True
     block_spreads = []
     for rel in (rel_a, rel_b):
-        meds = [float(np.nanmedian(rel[b])) for b in BLOCKS]
+        meds = [float(np.nanmedian(rel[b])) for b in STEPPED_BLOCKS]
         spread = max(meds) / min(meds)
         block_spreads.append(spread)
         block_ok = block_ok and spread <= 10.0
@@ -478,9 +481,7 @@ CRITERIA = (
 def run_all(seed=DEFAULT_SEED):
     """Run every acceptance criterion; returns a list of results."""
     # One fig4 run serves criterion 6's T3_2 and T3_3 checks and criterion 9.
-    fig4, fig4_t3_3 = fig4_panels(
-        ExperimentConfig(figure="fig4", seed=seed), (bound_t3_2, bound_t3_3)
-    )
+    fig4, fig4_t3_3 = fig4_panels(seed, (bound_t3_2, bound_t3_3))
     ctx = {
         "seed": seed,
         "figures": {"fig4": {p.name: p for p in fig4}},

@@ -260,14 +260,14 @@ def bound_t3_3(stats, metrics):
     return BoundReport(theorem="T3_3", per_index_bound=bound)
 
 
-def bound_t3_4(eta, n, kappa2=None):
+def bound_t3_4(eta, n, kappa2):
     """
     First-order bound for componentwise row-scaled perturbations:
     2 (eta_j + sqrt(2) n max(eta)).
 
     Depends only on the row-scaling factors and the column count,
-    not on conditioning or score magnitude. When kappa2 is supplied
-    the applicability condition max(eta) * kappa2 < 1 is enforced.
+    not on conditioning or score magnitude; kappa2 enters only the
+    applicability condition max(eta) * kappa2 < 1, which is enforced.
     """
     eta = np.asarray(eta, dtype=np.float64)
     if eta.ndim != 1:
@@ -275,7 +275,7 @@ def bound_t3_4(eta, n, kappa2=None):
     if np.any(eta < 0):
         raise ValueError("eta must be nonnegative")
     eta_max = float(eta.max())
-    if kappa2 is not None and not eta_max * kappa2 < 1.0:
+    if not eta_max * kappa2 < 1.0:
         raise HypothesisError(
             f"T3_4 needs max(eta) * kappa2 < 1, got {eta_max * kappa2:.3e}"
         )

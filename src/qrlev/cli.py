@@ -111,7 +111,7 @@ def build_parser():
 
     p = sub.add_parser("figure", help="run a figure experiment")
     p.add_argument("number", type=int, choices=range(1, 6), help="figure number")
-    _add_common(p, "--seed", "--out", "--config", out_default=".")
+    _add_common(p, "--seed", "--out", out_default=".")
     p.add_argument(
         "--no-assert",
         action="store_true",
@@ -147,7 +147,7 @@ def cmd_perturb(args):
         print("perturb: --config with a PerturbationSpec is required", file=sys.stderr)
         return 1
     spec = PerturbationSpec.from_dict(_load_json(args.config))
-    delta = make_perturbation(spec, a, rng=_seed(args))
+    delta = make_perturbation(spec, a, _seed(args))
     write_matrix(delta, args.out)
     print(args.out)
     metrics = measure(a, delta)
@@ -254,14 +254,9 @@ def cmd_bounds(args):
 
 
 def cmd_figure(args):
-    if args.config:
-        cfg = ExperimentConfig.from_dict(_load_json(args.config))
-        if args.out != ".":
-            cfg.output_dir = args.out
-    else:
-        cfg = ExperimentConfig(
-            figure=f"fig{args.number}", seed=_seed(args), output_dir=args.out or "."
-        )
+    cfg = ExperimentConfig(
+        figure=f"fig{args.number}", seed=_seed(args), output_dir=args.out or "."
+    )
     _, csv_path, svg_path = run_figure(cfg, assert_bounds=not args.no_assert)
     print(csv_path)
     print(svg_path)

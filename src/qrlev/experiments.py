@@ -2,12 +2,14 @@
 Reproduction harness for the five figure experiments, with CSV and
 SVG emission.
 
-Each runner generates its matrices and perturbations from an explicit
-seed (sub-streams are spawned in a fixed documented order, so equal
-seeds give byte-identical CSV output), computes observed relative
-leverage-score differences, evaluates the figure's bound at every
-index, and returns one FigurePanel per panel: per-index columns ell,
-ell_tilde, rel_diff and bound, where row j of the CSV is index j.
+Each figure is a fixed recipe whose only input is a seed; every other
+parameter is a literal or named constant in its runner. A runner
+generates its matrices and perturbations from that seed (sub-streams
+are spawned in a fixed documented order, so equal seeds give
+byte-identical CSV output), computes observed relative leverage-score
+differences, evaluates the figure's bound at every index, and returns
+one FigurePanel per panel: per-index columns ell, ell_tilde, rel_diff
+and bound, where row j of the CSV is index j.
 
 Figure map
 ----------
@@ -19,18 +21,21 @@ fig2  stepped orthonormal and ill-conditioned matrices under a
       panels c/d and T2_perp in panels e/f (a/b: scores).
 fig3  Frobenius Gaussian perturbations eps_f = 1e-8 (a) and
       1e-5 (b); T3_1 bound.
-fig4  eps_f = 1e-8 supported on rows 500..749 (a), and with the
-      matrix's own row scaling (b); T3_2 bound. fig4_panels evaluates
-      several bounds on one run (acceptance adds T3_3).
+fig4  eps_f = 1e-8 supported on FIG4_ROWS, the third row block
+      (rows 500..749) (a), and with the matrix's own row scaling (b);
+      T3_2 bound. fig4_panels evaluates several bounds on one run
+      (acceptance adds T3_3).
 fig5  componentwise row-scaled perturbations with eta_j = 1e-8 on
       the well- and ill-conditioned matrices; T3_4 bound.
+
+The ill-conditioned matrix of fig2 and fig5 has a kappa = 1e6 core.
 """
 
 import csv
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from .bounds import (
     check_policy,
 )
 from .generate import (
+    STEPPED_BLOCKS,
     stepped_gaussian,
     stepped_illconditioned,
     stepped_orthonormal,
@@ -70,6 +76,9 @@ CSV_HEADER = ("panel", "j", "ell", "ell_tilde", "rel_diff", "bound", "theorem")
 # Theorem tag of panels that carry leverage scores rather than differences.
 SCORES_TAG = "levscores"
 
+# Rows that carry fig4's panel-a perturbation.
+FIG4_ROWS = STEPPED_BLOCKS[2]
+
 
 class BoundViolationError(AssertionError):
     """Observed differences exceeded a bound beyond its slack policy."""
@@ -79,7 +88,6 @@ class BoundViolationError(AssertionError):
 class ExperimentConfig:
     figure: str
     seed: int
-    overrides: dict = field(default_factory=dict)
     output_dir: str = "."
 
     def __post_init__(self):
@@ -87,22 +95,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown figure {self.figure!r}; choose from {FIGURES}")
         if self.seed is None:
             raise ValueError("seed is required; runs carry no implicit entropy")
-
-    def to_dict(self):
-        return {
-            "figure": self.figure,
-            "seed": self.seed,
-            "overrides": dict(self.overrides),
-            "output_dir": self.output_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        allowed = {"figure", "seed", "overrides", "output_dir"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown ExperimentConfig fields: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +127,10 @@ def _spawn_rngs(seed, count):
     return [np.random.default_rng(c) for c in children]
 
 
-def run_fig1(cfg):
+def run_fig1(seed):
     """Rotation perturbations of the stepped orthonormal matrix."""
-    targets = cfg.overrides.get("target_sins", (1e-8, 1e-6, 1e-4))
-    rngs = _spawn_rngs(cfg.seed, 1 + len(targets))
+    targets = (1e-8, 1e-6, 1e-4)
+    rngs = _spawn_rngs(seed, 1 + len(targets))
     a = stepped_orthonormal(rngs[0])
     lev = leverage_qr(a)
     panels = [FigurePanel.scores("a", lev)]
@@ -157,19 +149,13 @@ def run_fig1(cfg):
     return panels
 
 
-def run_fig2(cfg):
-    """
-    Two-norm Gaussian perturbations of both stepped matrices.
-
-    Recognized overrides: eps (perturbation size), kappa (condition
-    number of the ill-conditioned matrix's core).
-    """
-    eps = cfg.overrides.get("eps", 1e-8)
-    kappa = cfg.overrides.get("kappa", 1e6)
-    rngs = _spawn_rngs(cfg.seed, 4)
+def run_fig2(seed):
+    """Two-norm Gaussian perturbations of both stepped matrices."""
+    eps = 1e-8
+    rngs = _spawn_rngs(seed, 4)
     mats = [
         ("a", "c", "e", stepped_orthonormal(rngs[0]), rngs[2]),
-        ("b", "d", "f", stepped_illconditioned(rngs[1], kappa), rngs[3]),
+        ("b", "d", "f", stepped_illconditioned(rngs[1]), rngs[3]),
     ]
     panels = []
     for score_panel, gen_panel, perp_panel, mat, rng in mats:
@@ -192,10 +178,10 @@ def run_fig2(cfg):
     return panels
 
 
-def run_fig3(cfg):
+def run_fig3(seed):
     """Frobenius Gaussian perturbations at two magnitudes."""
-    eps_fs = cfg.overrides.get("eps_fs", (1e-8, 1e-5))
-    rngs = _spawn_rngs(cfg.seed, 1 + len(eps_fs))
+    eps_fs = (1e-8, 1e-5)
+    rngs = _spawn_rngs(seed, 1 + len(eps_fs))
     a = stepped_orthonormal(rngs[0])
     lev = leverage_qr(a)
     stats = matrix_stats(a)
@@ -211,24 +197,23 @@ def run_fig3(cfg):
     return panels
 
 
-def fig4_panels(cfg, bounds):
+def fig4_panels(seed, bounds):
     """
     The fig4 experiment under each of several bounds of the form
-    bound(stats, metrics): a Frobenius perturbation of
-    size eps_f on rows row_start..row_stop-1 (panel a), and one with
-    the stepped Gaussian's own row scaling (panel b). Returns one
-    panel list per bound; every bound reads the same factorizations.
+    bound(stats, metrics): a Frobenius perturbation of size
+    eps_f = 1e-8 on FIG4_ROWS (panel a), and one with the stepped
+    Gaussian's own row scaling (panel b). Returns one panel list per
+    bound; every bound reads the same factorizations.
     """
-    eps_f = cfg.overrides.get("eps_f", 1e-8)
-    row_start = cfg.overrides.get("row_start", 500)
-    row_stop = cfg.overrides.get("row_stop", 750)
-    rngs = _spawn_rngs(cfg.seed, 3)
+    eps_f = 1e-8
+    rngs = _spawn_rngs(seed, 3)
     a = stepped_orthonormal(rngs[0])
     lev = leverage_qr(a)
     stats = matrix_stats(a)
 
+    rows = FIG4_ROWS
     deltas = [
-        ("a", row_subset_perturbation(a, row_start, row_stop, eps_f, rngs[1])),
+        ("a", row_subset_perturbation(a, rows.start, rows.stop, eps_f, rngs[1])),
         ("b", same_row_scaling_perturbation(stepped_gaussian(rngs[2]), eps_f)),
     ]
     per_bound = [[] for _ in bounds]
@@ -242,30 +227,23 @@ def fig4_panels(cfg, bounds):
     return per_bound
 
 
-def run_fig4(cfg):
+def run_fig4(seed):
     """Row-localized and row-scaled Frobenius perturbations; T3_2 bound."""
-    return fig4_panels(cfg, (bound_t3_2,))[0]
+    return fig4_panels(seed, (bound_t3_2,))[0]
 
 
-def run_fig5(cfg):
-    """
-    Componentwise row-scaled perturbations on both matrices.
-
-    Recognized overrides: eta (row-scaling factor), kappa (condition
-    number of the ill-conditioned matrix's core).
-    """
-    eta_value = cfg.overrides.get("eta", 1e-8)
-    kappa = cfg.overrides.get("kappa", 1e6)
-    rngs = _spawn_rngs(cfg.seed, 4)
+def run_fig5(seed):
+    """Componentwise row-scaled perturbations on both matrices."""
+    rngs = _spawn_rngs(seed, 4)
     mats = [
         ("a", stepped_orthonormal(rngs[0]), rngs[2]),
-        ("b", stepped_illconditioned(rngs[1], kappa), rngs[3]),
+        ("b", stepped_illconditioned(rngs[1]), rngs[3]),
     ]
     panels = []
     for panel, mat, rng in mats:
         lev = leverage_qr(mat)
         stats = matrix_stats(mat)
-        eta = np.full(mat.shape[0], eta_value)
+        eta = np.full(mat.shape[0], 1e-8)
         delta = componentwise_row_perturbation(mat, eta, rng)
         lev_tilde = leverage_qr(mat + delta)
         rel = relative_diffs(lev, lev_tilde)
@@ -389,7 +367,7 @@ def run_figure(cfg, assert_bounds=True, emit=True):
     cfg.output_dir. Returns (panels, csv_path, svg_path); the paths
     are None when emit is False.
     """
-    panels = FIGURE_RUNNERS[cfg.figure](cfg)
+    panels = FIGURE_RUNNERS[cfg.figure](cfg.seed)
     if assert_bounds:
         verify_rows(panels)
     if not emit:

@@ -10,6 +10,7 @@ generator with the ziggurat normal transform supplies the streams.
 """
 
 from dataclasses import dataclass, field, asdict
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,6 +22,9 @@ STEPPED_M = 1000
 STEPPED_N = 25
 STEPPED_BLOCK_SIZES = (250, 250, 250, 250)
 STEPPED_BLOCK_SCALES = (1.0, 1e2, 1e3, 1e4)
+_EDGES = (0, *accumulate(STEPPED_BLOCK_SIZES))
+# Row slice of each block, in the order of STEPPED_BLOCK_SCALES.
+STEPPED_BLOCKS = tuple(slice(lo, hi) for lo, hi in zip(_EDGES, _EDGES[1:]))
 
 
 def make_rng(seed_or_rng):

@@ -55,7 +55,9 @@ class PerturbationSpec:
     Serializable recipe for a perturbation.
 
     Fields not used by the chosen kind are ignored. eta may be a
-    scalar (broadcast over rows) or a length-m sequence.
+    scalar (broadcast over rows) or a length-m sequence; the
+    componentwise_rows kind requires it. The random stream is not part
+    of the recipe: make_perturbation takes it separately.
     """
 
     kind: str
@@ -64,11 +66,12 @@ class PerturbationSpec:
     row_start: int = 0
     row_stop: int = 0
     eta: object = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        if self.kind == "componentwise_rows" and self.eta is None:
+            raise ValueError("componentwise_rows needs eta")
 
     def to_dict(self):
         d = asdict(self)
@@ -78,7 +81,7 @@ class PerturbationSpec:
 
     @classmethod
     def from_dict(cls, d):
-        allowed = {"kind", "eps", "target_sin", "row_start", "row_stop", "eta", "seed"}
+        allowed = {"kind", "eps", "target_sin", "row_start", "row_stop", "eta"}
         unknown = set(d) - allowed
         if unknown:
             raise ValueError(f"unknown PerturbationSpec fields: {sorted(unknown)}")
@@ -201,13 +204,14 @@ def componentwise_row_perturbation(a, eta, rng):
     return (zeta * eta)[:, None] * a
 
 
-def make_perturbation(spec, a, rng=None):
+def make_perturbation(spec, a, rng):
     """
-    Materialize a PerturbationSpec against matrix a, returning the
-    additive perturbation delta. For the rotation kind a must be
-    orthonormal and delta is (rotated basis) - a.
+    Materialize a PerturbationSpec against matrix a with the given
+    seed or Generator, returning the additive perturbation delta. For
+    the rotation kind a must be orthonormal and delta is
+    (rotated basis) - a.
     """
-    rng = make_rng(spec.seed if rng is None else rng)
+    rng = make_rng(rng)
     if spec.kind == "rotation":
         return rotation_perturbation(a, spec.target_sin, rng) - a
     if spec.kind == "normwise_two":
@@ -219,8 +223,7 @@ def make_perturbation(spec, a, rng=None):
     if spec.kind == "same_row_scaling":
         return same_row_scaling_perturbation(a, spec.eps)
     if spec.kind == "componentwise_rows":
-        eta = spec.eta if spec.eta is not None else 0.0
-        return componentwise_row_perturbation(a, eta, rng)
+        return componentwise_row_perturbation(a, spec.eta, rng)
     raise ValueError(f"unknown perturbation kind {spec.kind!r}")
 
 

@@ -13,7 +13,8 @@ first clause (decade profile at 1e-8) is asserted separately below.
 import numpy as np
 import pytest
 
-from qrlev import acceptance, leverage
+from qrlev import acceptance, experiments, leverage
+from qrlev.bounds import bound_c1, bound_t1
 from qrlev.experiments import FigurePanel
 from qrlev.generate import gaussian_matrix, random_orthonormal, randsvd_matrix
 from qrlev.leverage import leverage_from_basis, leverage_qr, leverage_svd
@@ -145,6 +146,24 @@ def _panels_within_bounds():
         "figures": figures,
         "fig4_t3_3": {n: panel(n, "T3_3") for n in "ab"},
     }
+
+
+def test_criterion_4_t1_bound_is_ell_times_c1_bound(monkeypatch):
+    # Criterion 4 checks T1_abs as ell * C1_rel from fig1's panels;
+    # bound_t1, the evaluator behind `qrlev bounds t1`, must agree.
+    seen = []
+
+    def recording(lev, angles):
+        seen.append(angles)
+        return bound_c1(lev, angles)
+
+    monkeypatch.setattr(experiments, "bound_c1", recording)
+    panels = experiments.run_fig1(acceptance.DEFAULT_SEED)[1:]
+    assert len(seen) == len(panels) == 3
+    for p, angles in zip(panels, seen):
+        np.testing.assert_allclose(
+            bound_t1(p.ell, angles).per_index_bound, p.bound * p.ell, rtol=1e-14, atol=0
+        )
 
 
 def test_criteria_4_and_6_pass_on_panels_within_their_bounds():

@@ -213,11 +213,11 @@ class TestBoundT33:
 
 class TestBoundT34:
     def test_zero(self):
-        report = bound_t3_4(np.zeros(4), 25)
+        report = bound_t3_4(np.zeros(4), 25, kappa2=1.0)
         np.testing.assert_array_equal(report.per_index_bound, 0.0)
 
     def test_frozen_uniform_eta(self):
-        report = bound_t3_4(np.full(3, 1e-8), 25)
+        report = bound_t3_4(np.full(3, 1e-8), 25, kappa2=1.0)
         np.testing.assert_allclose(
             report.per_index_bound, 7.271067811865476e-7, rtol=1e-12
         )
@@ -234,7 +234,7 @@ class TestBoundT34:
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            bound_t3_4(np.array([-1e-8]), 25)
+            bound_t3_4(np.array([-1e-8]), 25, kappa2=1.0)
 
 
 def test_monotone_in_perturbation_magnitude():
@@ -271,15 +271,15 @@ def test_monotone_in_perturbation_magnitude():
             >= bound_t3_3(stats, metrics_of(eps_fro_perp=x, eps_row_perp=[x] * 4, m=4)).per_index_bound
         )
         assert np.all(
-            bound_t3_4(np.full(4, 2 * x), 25).per_index_bound
-            >= bound_t3_4(np.full(4, x), 25).per_index_bound
+            bound_t3_4(np.full(4, 2 * x), 25, kappa2=1.0).per_index_bound
+            >= bound_t3_4(np.full(4, x), 25, kappa2=1.0).per_index_bound
         )
 
 
 def test_first_order_policy():
     # Bound is ~7.27e-7 everywhere; the policy allows 1 percent of
     # indices above it as long as nothing exceeds ten times it.
-    report = bound_t3_4(np.full(100, 1e-8), 25)
+    report = bound_t3_4(np.full(100, 1e-8), 25, kappa2=1.0)
     assert report.first_order
 
     def policy(observed):

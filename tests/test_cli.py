@@ -51,6 +51,28 @@ class TestPerturb:
         metrics = json.loads(metrics_path.read_text())
         assert metrics["eps_fro"] == pytest.approx(1e-6, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        ("spec", "message"),
+        [
+            # The seed comes from --seed only; a spec cannot carry one.
+            (
+                {"kind": "normwise_fro", "eps": 1e-6, "seed": 3},
+                "unknown PerturbationSpec fields",
+            ),
+            ({"kind": "componentwise_rows"}, "componentwise_rows needs eta"),
+        ],
+    )
+    def test_bad_spec_exits_one(self, tmp_path, capsys, spec, message):
+        mat = tmp_path / "a.txt"
+        write_matrix(np.random.default_rng(3).standard_normal((20, 4)), mat)
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps(spec))
+        delta_path = tmp_path / "d.txt"
+        code = run(["perturb", str(mat), "--config", str(cfg), "--out", str(delta_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not delta_path.exists()
+
 
 class TestLevscores:
     def test_csv_stdout(self, tmp_path, capsys):
@@ -145,17 +167,6 @@ class TestFigure:
         ])
         assert code == 0
 
-    def test_config_file(self, tmp_path):
-        cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({
-            "figure": "fig4",
-            "seed": 42,
-            "output_dir": str(tmp_path),
-            "overrides": {"eps_f": 1e-7},
-        }))
-        assert run(["figure", "4", "--config", str(cfg)]) == 0
-        assert (tmp_path / "fig4.csv").exists()
-
 
 class TestUsage:
     def test_unknown_subcommand_exits_two(self):
@@ -186,6 +197,7 @@ class TestUsage:
             ["gen", "--preset", "stepped", "--format", "json"],
             ["perturb", "a.txt", "--format", "json"],
             ["figure", "1", "--format", "json"],
+            ["figure", "4", "--config", "x.json"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_exits_two(self, argv, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qrlev.generate import (
+    STEPPED_BLOCKS,
     GenSpec,
     gaussian_matrix,
     generate,
@@ -84,6 +85,9 @@ class TestSteppedMatrices:
     def test_orthonormal_kappa_one(self):
         stats = matrix_stats(stepped_orthonormal(42))
         assert abs(stats.kappa2 - 1.0) <= 1e-12
+
+    def test_block_slices(self):
+        assert STEPPED_BLOCKS == BLOCKS
 
     def test_plateaus_span_and_order(self):
         lev = leverage_qr(stepped_orthonormal(42))

@@ -215,7 +215,7 @@ class TestMeasure:
 
 class TestPerturbationSpec:
     def test_roundtrip(self):
-        spec = PerturbationSpec(kind="row_subset", eps=1e-8, row_start=2, row_stop=5, seed=3)
+        spec = PerturbationSpec(kind="row_subset", eps=1e-8, row_start=2, row_stop=5)
         assert PerturbationSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_kind(self):
@@ -224,21 +224,21 @@ class TestPerturbationSpec:
 
     def test_make_perturbation_dispatch(self):
         a = random_orthonormal(20, 3, 1)
-        for spec in (
-            PerturbationSpec(kind="rotation", target_sin=1e-4, seed=2),
-            PerturbationSpec(kind="normwise_two", eps=1e-6, seed=3),
-            PerturbationSpec(kind="normwise_fro", eps=1e-6, seed=4),
-            PerturbationSpec(kind="row_subset", eps=1e-6, row_start=0, row_stop=4, seed=5),
-            PerturbationSpec(kind="same_row_scaling", eps=1e-6),
-            PerturbationSpec(kind="componentwise_rows", eta=1e-6, seed=6),
+        for spec, seed in (
+            (PerturbationSpec(kind="rotation", target_sin=1e-4), 2),
+            (PerturbationSpec(kind="normwise_two", eps=1e-6), 3),
+            (PerturbationSpec(kind="normwise_fro", eps=1e-6), 4),
+            (PerturbationSpec(kind="row_subset", eps=1e-6, row_start=0, row_stop=4), 5),
+            (PerturbationSpec(kind="same_row_scaling", eps=1e-6), 0),
+            (PerturbationSpec(kind="componentwise_rows", eta=1e-6), 6),
         ):
-            delta = make_perturbation(spec, a)
+            delta = make_perturbation(spec, a, seed)
             assert delta.shape == a.shape
             assert np.isfinite(delta).all()
             assert np.linalg.norm(delta) > 0
 
     def test_rotation_delta_restores_basis(self):
         a = random_orthonormal(20, 3, 9)
-        spec = PerturbationSpec(kind="rotation", target_sin=1e-3, seed=11)
-        delta = make_perturbation(spec, a)
+        spec = PerturbationSpec(kind="rotation", target_sin=1e-3)
+        delta = make_perturbation(spec, a, 11)
         assert gram_residual(a + delta) <= 1e-12
