@@ -65,7 +65,6 @@ from .linalg import (
 )
 from .perturb import (
     PerturbationMetrics,
-    PerturbationSpec,
     componentwise_row_perturbation,
     make_perturbation,
     measure,

@@ -430,9 +430,9 @@ def _ensemble_item(a, rng):
     """
     Criterion 1 and 2 statistics of one ensemble matrix from a single
     factorization: the QR scores come from q, the SVD scores from
-    q @ svd_r.u (for m > n bit for bit what leverage_svd computes), and
-    the basis-rotation check reuses q. Returns
-    (lev_q, oracle_diff, basis_diff, n).
+    q @ svd_r.u (bit for bit what leverage_svd computes), and the
+    basis-rotation check reuses q. Returns (lev_q, oracle_diff,
+    basis_diff, n).
     """
     n = a.shape[1]
     q, _, svd_r = full_rank_qr(a)

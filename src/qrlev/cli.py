@@ -4,6 +4,7 @@ Command-line interface.
 Subcommands
 -----------
 gen        emit a matrix from a preset or a GenSpec JSON config
+           (exactly one of --preset and --config)
 perturb    emit a perturbation of a matrix file plus its measured
            magnitudes
 levscores  leverage scores of a matrix file
@@ -57,7 +58,7 @@ from .leverage import (
     relative_diffs,
 )
 from .linalg import RankDeficiencyError
-from .perturb import PerturbationSpec, make_perturbation, measure
+from .perturb import make_perturbation, measure
 
 GEN_PRESETS = {
     "stepped": stepped_orthonormal_spec,
@@ -91,8 +92,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a matrix")
-    p.add_argument("--preset", choices=sorted(GEN_PRESETS), help="built-in recipe")
-    _add_common(p, "--seed", "--out", "--config", out_default="matrix.txt")
+    recipe = p.add_mutually_exclusive_group(required=True)
+    recipe.add_argument("--preset", choices=sorted(GEN_PRESETS), help="built-in recipe")
+    _add_common(recipe, "--config")
+    _add_common(p, "--seed", "--out", out_default="matrix.txt")
 
     p = sub.add_parser("perturb", help="generate a perturbation of a matrix file")
     p.add_argument("matrix", help="input matrix file")
@@ -129,13 +132,10 @@ def _load_json(path):
 
 
 def cmd_gen(args):
-    if args.config:
-        spec = GenSpec.from_dict(_load_json(args.config))
-    elif args.preset:
+    if args.preset:
         spec = GEN_PRESETS[args.preset]()
     else:
-        print("gen: provide --preset or --config", file=sys.stderr)
-        return 1
+        spec = GenSpec.from_dict(_load_json(args.config))
     write_matrix(generate(spec, _seed(args)), args.out)
     print(args.out)
     return 0
@@ -144,10 +144,9 @@ def cmd_gen(args):
 def cmd_perturb(args):
     a = read_matrix(args.matrix)
     if not args.config:
-        print("perturb: --config with a PerturbationSpec is required", file=sys.stderr)
+        print("perturb: --config with a perturbation recipe is required", file=sys.stderr)
         return 1
-    spec = PerturbationSpec.from_dict(_load_json(args.config))
-    delta = make_perturbation(spec, a, _seed(args))
+    delta = make_perturbation(_load_json(args.config), a, _seed(args))
     write_matrix(delta, args.out)
     print(args.out)
     metrics = measure(a, delta)
@@ -201,6 +200,11 @@ def _componentwise_eta(a, delta):
 def cmd_bounds(args):
     a = read_matrix(args.matrix)
     delta = read_matrix(args.delta)
+    if delta.shape != a.shape:
+        raise ValueError(
+            f"{args.delta} is {delta.shape[0]}x{delta.shape[1]} but "
+            f"{args.matrix} is {a.shape[0]}x{a.shape[1]}"
+        )
     q = full_rank_qr(a)[0]
     lev = leverage_from_basis(q)
     q_tilde = full_rank_qr(a + delta)[0]

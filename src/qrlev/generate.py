@@ -9,7 +9,7 @@ seeds reproduce identical matrices. numpy's default PCG64 bit
 generator with the ziggurat normal transform supplies the streams.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 
 import numpy as np
@@ -37,13 +37,14 @@ def make_rng(seed_or_rng):
 @dataclass
 class GenSpec:
     """
-    Serializable recipe for a generated matrix.
+    Recipe for a generated matrix, loadable from JSON by from_dict.
 
     sv_mode selects the singular-value profile of the result:
-    "gaussian" is a raw i.i.d. normal core (kappa ignored),
-    "randsvd" is a core with geometric singular values from 1 down
-    to 1/kappa, and "orthonormal" orthonormalizes the row-scaled
-    Gaussian product via QR (kappa exactly 1). Row-block scaling,
+    "gaussian" is a raw i.i.d. normal core, "randsvd" is a core with
+    geometric singular values from 1 down to 1/kappa, and
+    "orthonormal" orthonormalizes the row-scaled Gaussian product via
+    QR (kappa exactly 1). Only "randsvd" reads kappa, so any other
+    mode rejects a kappa other than 1. Row-block scaling,
     when block_sizes is nonempty, is applied before any
     orthonormalization.
     """
@@ -68,19 +69,24 @@ class GenSpec:
             raise ValueError("kappa must be at least 1")
         if self.sv_mode not in ("gaussian", "randsvd", "orthonormal"):
             raise ValueError(f"unknown sv_mode {self.sv_mode!r}")
+        if self.kappa != 1.0 and self.sv_mode != "randsvd":
+            raise ValueError(
+                f"kappa {self.kappa} needs sv_mode 'randsvd', got {self.sv_mode!r}"
+            )
         if self.sv_mode == "orthonormal" and self.m < self.n:
             raise ValueError("orthonormal mode needs m >= n")
 
-    def to_dict(self):
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d):
-        allowed = {"m", "n", "block_sizes", "block_scales", "kappa", "sv_mode"}
-        unknown = set(d) - allowed
+        if not isinstance(d, dict):
+            raise ValueError(f"a GenSpec recipe is a JSON object, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown GenSpec fields: {sorted(unknown)}")
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as exc:  # a missing field or a value of the wrong type
+            raise ValueError(f"GenSpec: {exc}") from exc
 
 
 def gaussian_matrix(m, n, rng):

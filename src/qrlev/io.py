@@ -30,12 +30,15 @@ def write_matrix(a, path):
 def read_matrix(path):
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2:
+        if len(header) != 2 or not all(x.isdigit() for x in header):
             raise ValueError(f"{path}: malformed header, expected 'm n'")
         m, n = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        try:
+            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if data.shape != (m, n):
         raise ValueError(
             f"{path}: header promises {m}x{n}, file holds {data.shape[0]}x{data.shape[1]}"
         )
-    return data
+    return as_matrix(data, path)

@@ -4,11 +4,13 @@ statistics (condition number, stable rank) that drive every bound.
 
 The leverage score of row j is the squared two-norm of row j of any
 orthonormal basis for the column space. Scores lie in [0, 1] and sum
-to the column count. Two computation routes are provided: through a
-Householder QR decomposition and through the singular value
-decomposition. On a tall matrix the SVD route reduces through the same
-Householder QR, so its agreement with the QR route checks the Jacobi
-step, not the range of Q.
+to the column count. leverage_qr, leverage_svd and matrix_stats all go
+through full_rank_qr: one Householder QR a = q r, one Jacobi SVD of r
+and one rank check. The QR route reads the scores from q, the SVD route
+from the left singular vectors q @ u_r, and matrix_stats reads the
+singular values of r, which are those of a. The SVD route shares the
+QR, so its agreement with the QR route checks the Jacobi step, not the
+range of Q.
 """
 
 from dataclasses import dataclass
@@ -51,17 +53,6 @@ def leverage_from_basis(q):
     return np.einsum("ij,ij->i", q, q)
 
 
-def _require_full_rank(sigma, m):
-    smax = sigma[0]
-    smin = sigma[-1]
-    if smax == 0.0 or smin <= RANK_TOL_FACTOR * m * smax:
-        ratio = smin / smax if smax > 0 else 0.0
-        raise RankDeficiencyError(
-            f"matrix is numerically rank deficient: sigma_min/sigma_max = {ratio:.3e}",
-            ratio=ratio,
-        )
-
-
 def full_rank_qr(a):
     """
     Householder QR of an m x n matrix, m >= n, checked for full rank
@@ -76,7 +67,13 @@ def full_rank_qr(a):
         raise ValueError(f"need m >= n, got shape {a.shape}")
     q, r = householder_qr(a)
     svd_r = jacobi_svd(r)
-    _require_full_rank(svd_r.sigma, m)
+    smax, smin = svd_r.sigma[0], svd_r.sigma[-1]
+    if smax == 0.0 or smin <= RANK_TOL_FACTOR * m * smax:
+        ratio = smin / smax if smax > 0 else 0.0
+        raise RankDeficiencyError(
+            f"matrix is numerically rank deficient: sigma_min/sigma_max = {ratio:.3e}",
+            ratio=ratio,
+        )
     return q, r, svd_r
 
 
@@ -95,17 +92,13 @@ def leverage_svd(a):
     """
     Leverage scores as squared row norms of the left singular vectors.
 
-    Same contract as leverage_qr. A tall matrix is reduced by the same
-    Householder QR before the Jacobi sweeps, so this is not an
-    independent check of the QR's range.
+    Same contract as leverage_qr. The singular vectors are q @ u_r from
+    the same full_rank_qr, so this is not an independent check of the
+    QR's range.
     """
-    a = as_matrix(a, "a")
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"leverage_svd needs m >= n, got shape {a.shape}")
-    res = jacobi_svd(a)
-    _require_full_rank(res.sigma, m)
-    return np.einsum("ij,ij->i", res.u, res.u)
+    q, _, svd_r = full_rank_qr(a)
+    u = q @ svd_r.u
+    return np.einsum("ij,ij->i", u, u)
 
 
 def matrix_stats(a):
@@ -113,13 +106,11 @@ def matrix_stats(a):
     Condition number, stable rank, and the norms behind them.
 
     kappa2 is sigma_max / sigma_min; the stable rank is
-    ||a||_F**2 / ||a||_2**2 and never exceeds the column count.
-    Rank-deficient input raises RankDeficiencyError.
+    ||a||_F**2 / ||a||_2**2 and never exceeds the column count. Same
+    contract as leverage_qr: m >= n and numerically full rank.
     """
     a = as_matrix(a, "a")
-    m, n = a.shape
-    sigma = jacobi_svd(a).sigma
-    _require_full_rank(sigma, max(m, n))
+    sigma = full_rank_qr(a)[2].sigma
     two = float(sigma[0])
     fro = float(np.linalg.norm(a, "fro"))
     return MatrixStats(

@@ -24,7 +24,7 @@ Frobenius sizes, their projections onto the orthogonal complement of
 the column space, and the per-row relative sizes of both.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,53 +39,18 @@ from .linalg import (
     two_norm,
 )
 
-PERTURBATION_KINDS = (
-    "rotation",
-    "normwise_two",
-    "normwise_fro",
-    "row_subset",
-    "same_row_scaling",
-    "componentwise_rows",
-)
-
-
-@dataclass
-class PerturbationSpec:
-    """
-    Serializable recipe for a perturbation.
-
-    Fields not used by the chosen kind are ignored. eta may be a
-    scalar (broadcast over rows) or a length-m sequence; the
-    componentwise_rows kind requires it. The random stream is not part
-    of the recipe: make_perturbation takes it separately.
-    """
-
-    kind: str
-    eps: float = 0.0
-    target_sin: float = 0.0
-    row_start: int = 0
-    row_stop: int = 0
-    eta: object = None
-
-    def __post_init__(self):
-        if self.kind not in PERTURBATION_KINDS:
-            raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if self.kind == "componentwise_rows" and self.eta is None:
-            raise ValueError("componentwise_rows needs eta")
-
-    def to_dict(self):
-        d = asdict(self)
-        if isinstance(d["eta"], np.ndarray):
-            d["eta"] = d["eta"].tolist()
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        allowed = {"kind", "eps", "target_sin", "row_start", "row_stop", "eta"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown PerturbationSpec fields: {sorted(unknown)}")
-        return cls(**d)
+# The fields each perturbation kind reads besides "kind"; a recipe
+# carries exactly these. The random stream is not part of a recipe:
+# make_perturbation takes it separately. eta may be a scalar
+# (broadcast over rows) or a length-m sequence.
+PERTURBATION_FIELDS = {
+    "rotation": ("target_sin",),
+    "normwise_two": ("eps",),
+    "normwise_fro": ("eps",),
+    "row_subset": ("eps", "row_start", "row_stop"),
+    "same_row_scaling": ("eps",),
+    "componentwise_rows": ("eta",),
+}
 
 
 @dataclass(frozen=True)
@@ -204,27 +169,43 @@ def componentwise_row_perturbation(a, eta, rng):
     return (zeta * eta)[:, None] * a
 
 
-def make_perturbation(spec, a, rng):
+def make_perturbation(recipe, a, rng):
     """
-    Materialize a PerturbationSpec against matrix a with the given
-    seed or Generator, returning the additive perturbation delta. For
-    the rotation kind a must be orthonormal and delta is
-    (rotated basis) - a.
+    Materialize a JSON perturbation recipe, {"kind": ...} plus exactly
+    the fields PERTURBATION_FIELDS lists for that kind, against matrix
+    a with the given seed or Generator, returning the additive
+    perturbation delta. For the rotation kind a must be orthonormal
+    and delta is (rotated basis) - a. A recipe that is not an object,
+    names an unknown kind, or lacks or adds a field raises ValueError.
     """
+    if not isinstance(recipe, dict):
+        raise ValueError(
+            f"a perturbation recipe is a JSON object, got {type(recipe).__name__}"
+        )
+    kind = recipe.get("kind")
+    if not isinstance(kind, str) or kind not in PERTURBATION_FIELDS:
+        raise ValueError(f"unknown perturbation kind {kind!r}")
+    fields = PERTURBATION_FIELDS[kind]
+    missing = [f for f in fields if f not in recipe]
+    if missing:
+        raise ValueError(f"{kind} needs {', '.join(missing)}")
+    unread = sorted(set(recipe) - {"kind", *fields})
+    if unread:
+        raise ValueError(f"{kind} does not read {', '.join(unread)}")
     rng = make_rng(rng)
-    if spec.kind == "rotation":
-        return rotation_perturbation(a, spec.target_sin, rng) - a
-    if spec.kind == "normwise_two":
-        return normwise_perturbation(a, spec.eps, "two", rng)
-    if spec.kind == "normwise_fro":
-        return normwise_perturbation(a, spec.eps, "fro", rng)
-    if spec.kind == "row_subset":
-        return row_subset_perturbation(a, spec.row_start, spec.row_stop, spec.eps, rng)
-    if spec.kind == "same_row_scaling":
-        return same_row_scaling_perturbation(a, spec.eps)
-    if spec.kind == "componentwise_rows":
-        return componentwise_row_perturbation(a, spec.eta, rng)
-    raise ValueError(f"unknown perturbation kind {spec.kind!r}")
+    if kind == "rotation":
+        return rotation_perturbation(a, recipe["target_sin"], rng) - a
+    if kind == "normwise_two":
+        return normwise_perturbation(a, recipe["eps"], "two", rng)
+    if kind == "normwise_fro":
+        return normwise_perturbation(a, recipe["eps"], "fro", rng)
+    if kind == "row_subset":
+        return row_subset_perturbation(
+            a, recipe["row_start"], recipe["row_stop"], recipe["eps"], rng
+        )
+    if kind == "same_row_scaling":
+        return same_row_scaling_perturbation(a, recipe["eps"])
+    return componentwise_row_perturbation(a, recipe["eta"], rng)
 
 
 def measure(a, delta):

@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 
 from qrlev.cli import main
-from qrlev.generate import stepped_orthonormal
+from qrlev.generate import random_orthonormal, stepped_orthonormal
 from qrlev.io import read_matrix, write_matrix
-from qrlev.perturb import componentwise_row_perturbation
+from qrlev.perturb import PERTURBATION_FIELDS, componentwise_row_perturbation
+
+# One recipe per perturbation kind holding exactly the fields it reads.
+RECIPES = {
+    "rotation": {"kind": "rotation", "target_sin": 1e-4},
+    "normwise_two": {"kind": "normwise_two", "eps": 1e-6},
+    "normwise_fro": {"kind": "normwise_fro", "eps": 1e-6},
+    "row_subset": {"kind": "row_subset", "eps": 1e-6, "row_start": 0, "row_stop": 4},
+    "same_row_scaling": {"kind": "same_row_scaling", "eps": 1e-6},
+    "componentwise_rows": {"kind": "componentwise_rows", "eta": 1e-6},
+}
+RECIPE_FIELDS = sorted({f for fields in PERTURBATION_FIELDS.values() for f in fields})
 
 
 def run(argv):
@@ -28,8 +39,30 @@ class TestGen:
         assert read_matrix(out).shape == (12, 3)
 
     def test_requires_recipe(self, tmp_path, capsys):
-        assert run(["gen", "--out", str(tmp_path / "x.txt")]) == 1
-        assert "preset or --config" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            run(["gen", "--out", str(tmp_path / "x.txt")])
+        assert excinfo.value.code == 2
+        assert "one of the arguments --preset --config is required" in (
+            capsys.readouterr().err
+        )
+
+    def test_preset_and_config_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"m": 12, "n": 3}))
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as excinfo:
+            run(["gen", "--preset", "stepped", "--config", str(cfg), "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kappa_without_randsvd_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"m": 60, "n": 5, "kappa": 1e6}))
+        out = tmp_path / "x.txt"
+        assert run(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "needs sv_mode 'randsvd'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPerturb:
@@ -57,9 +90,16 @@ class TestPerturb:
             # The seed comes from --seed only; a spec cannot carry one.
             (
                 {"kind": "normwise_fro", "eps": 1e-6, "seed": 3},
-                "unknown PerturbationSpec fields",
+                "normwise_fro does not read seed",
             ),
             ({"kind": "componentwise_rows"}, "componentwise_rows needs eta"),
+            ({"kind": "normwise_fro"}, "normwise_fro needs eps"),
+            ({"kind": "rotation"}, "rotation needs target_sin"),
+            (
+                {"kind": "normwise_fro", "eps": 1e-8, "target_sin": 0.5},
+                "normwise_fro does not read target_sin",
+            ),
+            ([{"kind": "normwise_fro", "eps": 1e-8}], "JSON object, got list"),
         ],
     )
     def test_bad_spec_exits_one(self, tmp_path, capsys, spec, message):
@@ -71,6 +111,52 @@ class TestPerturb:
         code = run(["perturb", str(mat), "--config", str(cfg), "--out", str(delta_path)])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not delta_path.exists()
+
+    def _perturb(self, tmp_path, recipe):
+        # An orthonormal input, so the rotation kind can run too.
+        mat = tmp_path / "q.txt"
+        write_matrix(random_orthonormal(20, 4, 8), mat)
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps(recipe))
+        delta_path = tmp_path / "d.txt"
+        code = run([
+            "perturb", str(mat), "--config", str(cfg), "--seed", "1",
+            "--out", str(delta_path), "--metrics-out", str(tmp_path / "m.json"),
+        ])
+        return code, delta_path
+
+    @pytest.mark.parametrize("kind", sorted(PERTURBATION_FIELDS))
+    def test_exact_fields_run(self, tmp_path, kind):
+        assert set(RECIPES[kind]) == {"kind", *PERTURBATION_FIELDS[kind]}
+        code, delta_path = self._perturb(tmp_path, RECIPES[kind])
+        assert code == 0
+        assert np.linalg.norm(read_matrix(delta_path)) > 0
+
+    @pytest.mark.parametrize(
+        ("kind", "field"),
+        [(k, f) for k in sorted(PERTURBATION_FIELDS) for f in PERTURBATION_FIELDS[k]],
+    )
+    def test_missing_field_exits_one(self, tmp_path, capsys, kind, field):
+        recipe = {k: v for k, v in RECIPES[kind].items() if k != field}
+        code, delta_path = self._perturb(tmp_path, recipe)
+        assert code == 1
+        assert f"{kind} needs {field}" in capsys.readouterr().err
+        assert not delta_path.exists()
+
+    @pytest.mark.parametrize(
+        ("kind", "field"),
+        [
+            (k, f)
+            for k in sorted(PERTURBATION_FIELDS)
+            for f in [*RECIPE_FIELDS, "seed"]
+            if f not in PERTURBATION_FIELDS[k]
+        ],
+    )
+    def test_unread_field_exits_one(self, tmp_path, capsys, kind, field):
+        code, delta_path = self._perturb(tmp_path, {**RECIPES[kind], field: 1})
+        assert code == 1
+        assert f"{kind} does not read {field}" in capsys.readouterr().err
         assert not delta_path.exists()
 
 
@@ -144,6 +230,57 @@ class TestBounds:
         records = json.loads(out.read_text())
         assert {r["theorem"] for r in records} == {"T2_perp", "T2_gen"}
         assert all(r["observed"] <= r["bound"] * 1.001 + 1e-12 for r in records)
+
+
+class TestBadMatrixFiles:
+    """A bad matrix file exits 1 with the file named where it is read."""
+
+    def _files(self, tmp_path, a, delta):
+        mat, dlt = tmp_path / "a.txt", tmp_path / "d.txt"
+        write_matrix(a, mat)
+        write_matrix(delta, dlt)
+        return mat, dlt
+
+    def _nan_at(self, path):
+        # write_matrix rejects NaN, so put one into the text directly.
+        lines = path.read_text().splitlines()
+        lines[2] = "nan " + lines[2].split(" ", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_nan_in_matrix(self, tmp_path, capsys):
+        mat, _ = self._files(tmp_path, np.eye(5)[:, :2], np.zeros((5, 2)))
+        self._nan_at(mat)
+        assert run(["levscores", str(mat)]) == 1
+        assert f"{mat} contains non-finite entries" in capsys.readouterr().err
+
+    def test_nan_in_delta(self, tmp_path, capsys):
+        mat, dlt = self._files(tmp_path, np.eye(5)[:, :2], np.zeros((5, 2)))
+        self._nan_at(dlt)
+        assert run(["bounds", "t2", "--matrix", str(mat), "--delta", str(dlt)]) == 1
+        assert f"{dlt} contains non-finite entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["banana", "5", "5 x", "5 2 1"])
+    def test_malformed_header(self, tmp_path, capsys, header):
+        mat = tmp_path / "a.txt"
+        mat.write_text(header + "\n1 0\n0 1\n")
+        assert run(["levscores", str(mat)]) == 1
+        assert f"{mat}: malformed header" in capsys.readouterr().err
+
+    def test_bad_entry(self, tmp_path, capsys):
+        mat = tmp_path / "a.txt"
+        mat.write_text("2 2\n1 0\n0 one\n")
+        assert run(["levscores", str(mat)]) == 1
+        assert f"{mat}: could not convert" in capsys.readouterr().err
+
+    def test_mismatched_shapes(self, tmp_path, capsys):
+        mat, dlt = self._files(tmp_path, np.eye(5)[:, :2], np.zeros((4, 2)))
+        out = tmp_path / "r.csv"
+        code = run([
+            "bounds", "t2", "--matrix", str(mat), "--delta", str(dlt), "--out", str(out)
+        ])
+        assert code == 1
+        assert f"{dlt} is 4x2 but {mat} is 5x2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFigure:

@@ -119,11 +119,6 @@ class TestSteppedMatrices:
 
 
 class TestGenSpec:
-    def test_roundtrip(self):
-        spec = stepped_orthonormal_spec()
-        again = GenSpec.from_dict(spec.to_dict())
-        assert again == spec
-
     def test_generate_matches_helper(self):
         np.testing.assert_array_equal(
             generate(stepped_orthonormal_spec(), 42), stepped_orthonormal(42)
@@ -140,6 +135,24 @@ class TestGenSpec:
     def test_unknown_field(self):
         with pytest.raises(ValueError, match="unknown"):
             GenSpec.from_dict({"m": 4, "n": 2, "extra": 1})
+
+    @pytest.mark.parametrize("sv_mode", ["gaussian", "orthonormal"])
+    def test_kappa_needs_randsvd(self, sv_mode):
+        with pytest.raises(ValueError, match="kappa 1000000.0 needs sv_mode 'randsvd'"):
+            GenSpec(m=20, n=4, kappa=1e6, sv_mode=sv_mode)
+        assert GenSpec(m=20, n=4, kappa=1e6, sv_mode="randsvd").kappa == 1e6
+
+    def test_missing_dimension(self):
+        with pytest.raises(ValueError, match="GenSpec: .*missing .*'n'"):
+            GenSpec.from_dict({"m": 4})
+
+    def test_wrong_type(self):
+        with pytest.raises(ValueError, match="GenSpec: "):
+            GenSpec.from_dict({"m": 4, "n": 2, "kappa": "big", "sv_mode": "randsvd"})
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="JSON object, got list"):
+            GenSpec.from_dict([4, 2])
 
     def test_plain_gaussian_not_orthonormalized(self):
         a = generate(GenSpec(m=30, n=4), 5)

@@ -5,7 +5,6 @@ from qrlev.angles import principal_angles
 from qrlev.generate import random_orthonormal, stepped_orthonormal
 from qrlev.linalg import RankDeficiencyError, gram_residual
 from qrlev.perturb import (
-    PerturbationSpec,
     componentwise_row_perturbation,
     make_perturbation,
     measure,
@@ -214,31 +213,28 @@ class TestMeasure:
 
 
 class TestPerturbationSpec:
-    def test_roundtrip(self):
-        spec = PerturbationSpec(kind="row_subset", eps=1e-8, row_start=2, row_stop=5)
-        assert PerturbationSpec.from_dict(spec.to_dict()) == spec
+    """make_perturbation's recipes: one JSON object per kind."""
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            PerturbationSpec(kind="earthquake")
+        with pytest.raises(ValueError, match="unknown perturbation kind 'earthquake'"):
+            make_perturbation({"kind": "earthquake"}, np.eye(4), 0)
 
     def test_make_perturbation_dispatch(self):
         a = random_orthonormal(20, 3, 1)
-        for spec, seed in (
-            (PerturbationSpec(kind="rotation", target_sin=1e-4), 2),
-            (PerturbationSpec(kind="normwise_two", eps=1e-6), 3),
-            (PerturbationSpec(kind="normwise_fro", eps=1e-6), 4),
-            (PerturbationSpec(kind="row_subset", eps=1e-6, row_start=0, row_stop=4), 5),
-            (PerturbationSpec(kind="same_row_scaling", eps=1e-6), 0),
-            (PerturbationSpec(kind="componentwise_rows", eta=1e-6), 6),
+        for recipe, seed in (
+            ({"kind": "rotation", "target_sin": 1e-4}, 2),
+            ({"kind": "normwise_two", "eps": 1e-6}, 3),
+            ({"kind": "normwise_fro", "eps": 1e-6}, 4),
+            ({"kind": "row_subset", "eps": 1e-6, "row_start": 0, "row_stop": 4}, 5),
+            ({"kind": "same_row_scaling", "eps": 1e-6}, 0),
+            ({"kind": "componentwise_rows", "eta": 1e-6}, 6),
         ):
-            delta = make_perturbation(spec, a, seed)
+            delta = make_perturbation(recipe, a, seed)
             assert delta.shape == a.shape
             assert np.isfinite(delta).all()
             assert np.linalg.norm(delta) > 0
 
     def test_rotation_delta_restores_basis(self):
         a = random_orthonormal(20, 3, 9)
-        spec = PerturbationSpec(kind="rotation", target_sin=1e-3)
-        delta = make_perturbation(spec, a, 11)
+        delta = make_perturbation({"kind": "rotation", "target_sin": 1e-3}, a, 11)
         assert gram_residual(a + delta) <= 1e-12
