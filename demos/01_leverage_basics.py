@@ -8,14 +8,8 @@ SVD) give the same scores to machine precision.
 
 import numpy as np
 
-from qrlev import (
-    leverage_qr,
-    leverage_svd,
-    matrix_stats,
-    stepped_illconditioned,
-    stepped_orthonormal,
-)
-from qrlev.generate import STEPPED_BLOCKS
+from qrlev.generate import STEPPED_BLOCKS, stepped_illconditioned, stepped_orthonormal
+from qrlev.leverage import leverage_qr, leverage_svd, matrix_stats
 
 SEED = 42
 

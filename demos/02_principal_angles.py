@@ -9,12 +9,9 @@ sqrt(1 - cos**2).
 
 import numpy as np
 
-from qrlev import (
-    principal_angles,
-    random_orthonormal,
-    rotation_perturbation,
-    sin_theta_max_projector,
-)
+from qrlev.angles import principal_angles, sin_theta_max_projector
+from qrlev.generate import random_orthonormal
+from qrlev.perturb import rotation_perturbation
 
 q = random_orthonormal(500, 10, 7)
 

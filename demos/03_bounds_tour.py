@@ -8,22 +8,22 @@ visible.
 
 import numpy as np
 
-from qrlev import (
+from qrlev.angles import principal_angles
+from qrlev.bounds import (
     bound_c1,
     bound_t2,
     bound_t3_1,
     bound_t3_2,
     bound_t3_4,
     check_policy,
+)
+from qrlev.generate import stepped_orthonormal
+from qrlev.leverage import leverage_qr, matrix_stats, relative_diffs
+from qrlev.perturb import (
     componentwise_row_perturbation,
-    leverage_qr,
-    matrix_stats,
     measure,
     normwise_perturbation,
-    principal_angles,
-    relative_diffs,
     rotation_perturbation,
-    stepped_orthonormal,
 )
 
 SEED = 42
@@ -34,7 +34,7 @@ stats = matrix_stats(a)
 
 def summarize(tag, rel, report):
     defined = ~np.isnan(rel)
-    holds = check_policy(rel, report.per_index_bound, report.first_order).holds
+    holds = check_policy(rel, report.per_index_bound, report.theorem).holds
     print(
         f"{tag:8s} worst observed {np.max(rel[defined]):.2e}   "
         f"worst bound {np.nanmax(report.per_index_bound):.2e}   "

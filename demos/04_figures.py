@@ -7,7 +7,7 @@ Equivalent to `qrlev figure N --seed 42 --out demos/out` for N in
 import logging
 import os
 
-from qrlev import ExperimentConfig, run_figure
+from qrlev.experiments import ExperimentConfig, run_figure
 
 logging.basicConfig(level="INFO", format="%(message)s")
 

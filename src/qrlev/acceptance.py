@@ -165,7 +165,7 @@ def criterion_4(ctx):
             cases.append((p.theorem, figure, p.name, p.rel_diff, p.bound))
     violations = []
     for theorem, figure, name, observed, bound in cases:
-        n_bad = check_policy(observed, bound, first_order=False).violations
+        n_bad = check_policy(observed, bound, theorem).violations
         if n_bad:
             violations.append(f"{theorem} {figure}/{name}:{n_bad}")
     passed = not violations
@@ -226,7 +226,7 @@ def criterion_6(ctx):
         ("fig5", _figure(ctx, "fig5")),
     ):
         for p in (panels["a"], panels["b"]):
-            check = check_policy(p.rel_diff, p.bound, first_order=True)
+            check = check_policy(p.rel_diff, p.bound, p.theorem)
             details.append(
                 f"{p.theorem}/{p.name} frac {check.frac:.3f} worst {check.worst:.2f}"
             )

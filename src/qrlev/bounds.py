@@ -22,7 +22,8 @@ terms and must hold outright; T3_2 through T3_4 are first order, so
 verification allows the documented outlier slack (99 percent of
 indices within the bound, all indices within 10x). check_policy is
 the one place either rule is applied, by the callers that read a
-verdict.
+verdict; the theorem tag picks the rule, and FIRST_ORDER_TAGS lists
+the tags that take the outlier policy.
 """
 
 import math
@@ -59,17 +60,19 @@ class PolicyCheck:
     frac: float        # share of defined indices that hold (NaN if none)
     worst: float       # largest observed / bound over defined indices (NaN if none)
     ok: bool           # the set as a whole passes the policy
+    first_order: bool  # the outlier rule applied, not the exact one
 
     @property
     def violations(self):
         return int(np.count_nonzero(~self.holds))
 
 
-def check_policy(observed, bound, first_order):
+def check_policy(observed, bound, theorem):
     """
     The bound-holds policy, the only reader of its four constants.
 
-    An exact bound holds at an index when
+    The theorem tag picks the rule: tags in FIRST_ORDER_TAGS are first
+    order, every other tag is exact. An exact bound holds at an index when
     observed <= bound * (1 + EXACT_REL_SLACK) + EXACT_ABS_SLACK, and
     passes when it holds at every index. A first-order bound holds at
     an index when observed <= bound, and passes when it holds at
@@ -78,6 +81,7 @@ def check_policy(observed, bound, first_order):
     side is NaN are undefined: they hold and are left out of frac and
     worst.
     """
+    first_order = theorem in FIRST_ORDER_TAGS
     observed = np.asarray(observed, dtype=np.float64)
     bound = np.asarray(bound, dtype=np.float64)
     defined = ~(np.isnan(observed) | np.isnan(bound))
@@ -89,7 +93,7 @@ def check_policy(observed, bound, first_order):
     holds = np.ones(observed.shape, dtype=bool)
     holds[defined] = within
     if not defined.any():
-        return PolicyCheck(holds, math.nan, math.nan, True)
+        return PolicyCheck(holds, math.nan, math.nan, True, first_order)
     frac = float(np.mean(within))
     with np.errstate(divide="ignore", invalid="ignore"):
         worst = float(np.max(obs / bnd))
@@ -97,7 +101,7 @@ def check_policy(observed, bound, first_order):
         ok = frac >= FIRST_ORDER_HOLD_FRACTION and np.all(obs <= FIRST_ORDER_CAP * bnd)
     else:
         ok = within.all()
-    return PolicyCheck(holds, frac, worst, bool(ok))
+    return PolicyCheck(holds, frac, worst, bool(ok), first_order)
 
 
 @dataclass
@@ -108,10 +112,6 @@ class BoundReport:
     per_index_bound: np.ndarray
     lower: np.ndarray = None   # sandwich only
     upper: np.ndarray = None   # sandwich only
-
-    @property
-    def first_order(self):
-        return self.theorem in FIRST_ORDER_TAGS
 
 
 def _as_scores(lev):

@@ -14,14 +14,18 @@ from itertools import accumulate
 
 import numpy as np
 
+from .io import check_json_type
 from .linalg import householder_qr
 
 # Fixed recipe behind the stepped-leverage matrices: four row blocks
-# of 250, scaled 1, 1e2, 1e3, 1e4, times a 1000 x 25 Gaussian.
+# of 250, scaled 1, 1e2, 1e3, 1e4, times a 1000 x 25 Gaussian (the
+# orthonormal variant) or a randsvd core with condition number
+# STEPPED_KAPPA (the ill-conditioned one).
 STEPPED_M = 1000
 STEPPED_N = 25
 STEPPED_BLOCK_SIZES = (250, 250, 250, 250)
 STEPPED_BLOCK_SCALES = (1.0, 1e2, 1e3, 1e4)
+STEPPED_KAPPA = 1e6
 _EDGES = (0, *accumulate(STEPPED_BLOCK_SIZES))
 # Row slice of each block, in the order of STEPPED_BLOCK_SCALES.
 STEPPED_BLOCKS = tuple(slice(lo, hi) for lo, hi in zip(_EDGES, _EDGES[1:]))
@@ -37,7 +41,8 @@ def make_rng(seed_or_rng):
 @dataclass
 class GenSpec:
     """
-    Recipe for a generated matrix, loadable from JSON by from_dict.
+    Recipe for a generated matrix, loadable from JSON by from_dict,
+    which checks each value against its field's type.
 
     sv_mode selects the singular-value profile of the result:
     "gaussian" is a raw i.i.d. normal core, "randsvd" is a core with
@@ -51,8 +56,8 @@ class GenSpec:
 
     m: int
     n: int
-    block_sizes: list = field(default_factory=list)
-    block_scales: list = field(default_factory=list)
+    block_sizes: list[int] = field(default_factory=list)
+    block_scales: list[float] = field(default_factory=list)
     kappa: float = 1.0
     sv_mode: str = "gaussian"
 
@@ -83,9 +88,12 @@ class GenSpec:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown GenSpec fields: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name in d:
+                check_json_type(d[f.name], f.type, f"GenSpec: {f.name}")
         try:
             return cls(**d)
-        except TypeError as exc:  # a missing field or a value of the wrong type
+        except TypeError as exc:  # a missing field
             raise ValueError(f"GenSpec: {exc}") from exc
 
 
@@ -146,13 +154,13 @@ def stepped_orthonormal_spec():
     )
 
 
-def stepped_illconditioned_spec(kappa=1e6):
+def stepped_illconditioned_spec():
     return GenSpec(
         m=STEPPED_M,
         n=STEPPED_N,
         block_sizes=list(STEPPED_BLOCK_SIZES),
         block_scales=list(STEPPED_BLOCK_SCALES),
-        kappa=kappa,
+        kappa=STEPPED_KAPPA,
         sv_mode="randsvd",
     )
 
@@ -166,15 +174,15 @@ def stepped_orthonormal(rng):
     return generate(stepped_orthonormal_spec(), rng)
 
 
-def stepped_illconditioned(rng, kappa=1e6):
+def stepped_illconditioned(rng):
     """
     Ill-conditioned companion of stepped_orthonormal: the same
-    row-block scaling applied to a randsvd core with the given kappa.
-    Leverage plateaus mimic the orthonormal variant while the
-    condition number of the product lands near the core's kappa
+    row-block scaling applied to a randsvd core with condition number
+    STEPPED_KAPPA. Leverage plateaus mimic the orthonormal variant
+    while the condition number of the product lands near the core's
     (seed dependent; measured, not asserted).
     """
-    return generate(stepped_illconditioned_spec(kappa), rng)
+    return generate(stepped_illconditioned_spec(), rng)
 
 
 def generate(spec, rng):

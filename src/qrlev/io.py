@@ -1,5 +1,6 @@
 """
-Plain-text matrix interchange format.
+Plain-text matrix interchange format, and the type check of values
+read from JSON recipes.
 
 A matrix file holds a header line "m n" followed by m lines of n
 whitespace-separated entries (row-major). Entries are written with
@@ -7,9 +8,54 @@ repr precision, so read(write(a)) reproduces a bit for bit. No binary
 dependencies.
 """
 
+import json
+import types
+from typing import get_args, get_origin
+
 import numpy as np
 
 from .linalg import as_matrix
+
+# How check_json_type names each scalar type, singular and plural.
+_JSON_NAMES = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+}
+
+
+def _json_matches(value, expected):
+    if isinstance(expected, types.UnionType):
+        return any(_json_matches(value, t) for t in get_args(expected))
+    if get_origin(expected) is list:
+        (item,) = get_args(expected)
+        return isinstance(value, list) and all(_json_matches(v, item) for v in value)
+    if isinstance(value, bool):  # JSON true/false are never numbers
+        return False
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+def _json_describe(expected):
+    if isinstance(expected, types.UnionType):
+        return " or ".join(_json_describe(t) for t in get_args(expected))
+    if get_origin(expected) is list:
+        return f"an array of {_JSON_NAMES[get_args(expected)[0]][1]}"
+    return _JSON_NAMES[expected][0]
+
+
+def check_json_type(value, expected, name):
+    """
+    Raise ValueError naming `name` unless a JSON-decoded value has the
+    expected type: int (a JSON integer), float (any JSON number), str,
+    list[T] (an array of T), or a union of these.
+    """
+    if _json_matches(value, expected):
+        return
+    got = {list: "an array", dict: "an object"}.get(type(value))
+    got = got or json.dumps(value, default=str)
+    raise ValueError(f"{name} must be {_json_describe(expected)}, got {got}")
 
 
 def format_float(x):

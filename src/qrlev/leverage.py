@@ -139,15 +139,3 @@ def relative_diffs(base, pert):
     defined = base > 0.0
     out[defined] = np.abs(pert[defined] - base[defined]) / base[defined]
     return out
-
-
-__all__ = [
-    "BASIS_TOL",
-    "MatrixStats",
-    "full_rank_qr",
-    "leverage_from_basis",
-    "leverage_qr",
-    "leverage_svd",
-    "matrix_stats",
-    "relative_diffs",
-]

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generate import make_rng
+from .io import check_json_type
 from .leverage import full_rank_qr
 from .linalg import (
     BASIS_TOL,
@@ -39,17 +40,17 @@ from .linalg import (
     two_norm,
 )
 
-# The fields each perturbation kind reads besides "kind"; a recipe
-# carries exactly these. The random stream is not part of a recipe:
-# make_perturbation takes it separately. eta may be a scalar
-# (broadcast over rows) or a length-m sequence.
+# The fields each perturbation kind reads besides "kind", with the
+# JSON type of each; a recipe carries exactly these. The random stream
+# is not part of a recipe: make_perturbation takes it separately. eta
+# may be a scalar (broadcast over rows) or a length-m array.
 PERTURBATION_FIELDS = {
-    "rotation": ("target_sin",),
-    "normwise_two": ("eps",),
-    "normwise_fro": ("eps",),
-    "row_subset": ("eps", "row_start", "row_stop"),
-    "same_row_scaling": ("eps",),
-    "componentwise_rows": ("eta",),
+    "rotation": {"target_sin": float},
+    "normwise_two": {"eps": float},
+    "normwise_fro": {"eps": float},
+    "row_subset": {"eps": float, "row_start": int, "row_stop": int},
+    "same_row_scaling": {"eps": float},
+    "componentwise_rows": {"eta": float | list[float]},
 }
 
 
@@ -90,7 +91,7 @@ def rotation_perturbation(q, target_sin, rng):
         return q.copy()
     rng = make_rng(rng)
     g = rng.standard_normal((m, n))
-    q_perp = householder_qr(project_complement(q, g)).q
+    q_perp = householder_qr(project_complement(q, g, tol=BASIS_TOL)).q
     w = householder_qr(rng.standard_normal((n, n))).q
     theta = np.arcsin(target_sin)
     return q * np.cos(theta) + (q_perp @ w) * target_sin
@@ -176,7 +177,8 @@ def make_perturbation(recipe, a, rng):
     a with the given seed or Generator, returning the additive
     perturbation delta. For the rotation kind a must be orthonormal
     and delta is (rotated basis) - a. A recipe that is not an object,
-    names an unknown kind, or lacks or adds a field raises ValueError.
+    names an unknown kind, lacks or adds a field, or holds a value of
+    the wrong JSON type raises ValueError.
     """
     if not isinstance(recipe, dict):
         raise ValueError(
@@ -192,6 +194,8 @@ def make_perturbation(recipe, a, rng):
     unread = sorted(set(recipe) - {"kind", *fields})
     if unread:
         raise ValueError(f"{kind} does not read {', '.join(unread)}")
+    for name, expected in fields.items():
+        check_json_type(recipe[name], expected, f"{kind} {name}")
     rng = make_rng(rng)
     if kind == "rotation":
         return rotation_perturbation(a, recipe["target_sin"], rng) - a

@@ -90,7 +90,7 @@ class TestBoundT1:
         lev = np.array([0.2, 0.8])
         report = bound_t1(lev, angles_of(1e-4))
         observed = np.array([1e-9, 1e-9])
-        assert check_policy(observed, report.per_index_bound, report.first_order).ok
+        assert check_policy(observed, report.per_index_bound, report.theorem).ok
 
 
 class TestBoundC1:
@@ -116,8 +116,8 @@ class TestBoundC1:
         lev = leverage_from_basis(q)
         rel = np.abs(leverage_from_basis(q_tilde) - lev) / lev
         report = bound_c1(lev, principal_angles(q, q_tilde))
-        assert not report.first_order
-        assert check_policy(rel, report.per_index_bound, report.first_order).holds.all()
+        check = check_policy(rel, report.per_index_bound, report.theorem)
+        assert not check.first_order and check.holds.all()
 
 
 class TestBoundT2:
@@ -280,13 +280,12 @@ def test_first_order_policy():
     # Bound is ~7.27e-7 everywhere; the policy allows 1 percent of
     # indices above it as long as nothing exceeds ten times it.
     report = bound_t3_4(np.full(100, 1e-8), 25, kappa2=1.0)
-    assert report.first_order
 
     def policy(observed):
-        return check_policy(observed, report.per_index_bound, report.first_order)
+        return check_policy(observed, report.per_index_bound, report.theorem)
 
     check = policy(np.full(100, 1e-9))
-    assert check.ok and check.holds.all()
+    assert check.first_order and check.ok and check.holds.all()
 
     one_outlier = np.full(100, 1e-9)
     one_outlier[0] = 5e-6  # above bound, below the 10x cap
@@ -304,38 +303,54 @@ def test_first_order_policy():
 
 
 class TestCheckPolicy:
+    @pytest.mark.parametrize(
+        ("theorem", "first_order"),
+        [
+            *[(tag, False) for tag in ("T1_abs", "C1_rel", "T2_perp", "T2_gen", "T3_1")],
+            *[(tag, True) for tag in ("T3_2", "T3_3", "T3_4")],
+        ],
+    )
+    def test_theorem_tag_picks_the_rule(self, theorem, first_order):
+        # One index in 100 at 5x its bound: within the outlier policy,
+        # but a violation under the exact rule.
+        observed = np.full(100, 0.5)
+        observed[0] = 5.0
+        check = check_policy(observed, np.ones(100), theorem)
+        assert check.first_order == first_order
+        assert check.ok == first_order and check.violations == 1
+
     def test_exact_slack_boundary(self):
         bound = np.array([1e-9, 1e-6, 0.5, 2.0])
         edge = bound * (1.0 + EXACT_REL_SLACK) + EXACT_ABS_SLACK
-        check = check_policy(edge, bound, first_order=False)
+        check = check_policy(edge, bound, "T1_abs")
         assert check.ok and check.holds.all() and check.violations == 0
         over = np.nextafter(edge, np.inf)
-        check = check_policy(over, bound, first_order=False)
+        check = check_policy(over, bound, "T1_abs")
         assert not check.ok and not check.holds.any() and check.violations == 4
 
     def test_first_order_fraction_boundary(self):
         bound = np.full(100, 1e-7)
         obs = np.full(100, 1e-9)
         obs[0] = np.nextafter(bound[0], np.inf)
-        check = check_policy(obs, bound, first_order=True)
+        check = check_policy(obs, bound, "T3_4")
         assert check.ok and check.frac == 0.99 and check.violations == 1
         obs[1] = np.nextafter(bound[1], np.inf)
-        check = check_policy(obs, bound, first_order=True)
+        check = check_policy(obs, bound, "T3_4")
         assert not check.ok and check.frac == 0.98
 
     def test_first_order_cap_boundary(self):
         bound = np.full(100, 1e-7)
         obs = np.full(100, 1e-9)
         obs[0] = FIRST_ORDER_CAP * bound[0]
-        check = check_policy(obs, bound, first_order=True)
+        check = check_policy(obs, bound, "T3_4")
         assert check.ok and check.worst == FIRST_ORDER_CAP
         obs[0] = np.nextafter(obs[0], np.inf)
-        assert not check_policy(obs, bound, first_order=True).ok
+        assert not check_policy(obs, bound, "T3_4").ok
 
     def test_undefined_indices_hold_and_are_left_out(self):
-        check = check_policy([np.nan, 5.0], [1.0, np.nan], first_order=False)
+        check = check_policy([np.nan, 5.0], [1.0, np.nan], "T1_abs")
         assert check.ok and check.holds.all() and np.isnan(check.frac)
-        check = check_policy([np.nan, 2.0, 0.5], [1.0, 1.0, 1.0], first_order=True)
+        check = check_policy([np.nan, 2.0, 0.5], [1.0, 1.0, 1.0], "T3_4")
         assert check.frac == 0.5 and check.worst == 2.0 and not check.ok
 
 

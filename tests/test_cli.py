@@ -1,12 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from qrlev.cli import main
-from qrlev.generate import random_orthonormal, stepped_orthonormal
+from qrlev.generate import GenSpec, random_orthonormal, stepped_orthonormal
 from qrlev.io import read_matrix, write_matrix
-from qrlev.perturb import PERTURBATION_FIELDS, componentwise_row_perturbation
+from qrlev.leverage import matrix_stats
+from qrlev.perturb import PERTURBATION_FIELDS, componentwise_row_perturbation, measure
 
 # One recipe per perturbation kind holding exactly the fields it reads.
 RECIPES = {
@@ -55,6 +57,45 @@ class TestGen:
         assert excinfo.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("spec", "message"),
+        [
+            ({"m": 20.5, "n": 4}, "GenSpec: m must be an integer, got 20.5"),
+            ({"m": True, "n": 1}, "GenSpec: m must be an integer, got true"),
+            (
+                {"m": 8, "n": 2, "block_sizes": [4, 4.0], "block_scales": [1, 2]},
+                "GenSpec: block_sizes must be an array of integers, got an array",
+            ),
+            (
+                {"m": 8, "n": 2, "kappa": "1e6", "sv_mode": "randsvd"},
+                'GenSpec: kappa must be a number, got "1e6"',
+            ),
+        ],
+    )
+    def test_wrong_json_type_exits_one(self, tmp_path, capsys, spec, message):
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "x.txt"
+        assert run(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"qrlev gen: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(GenSpec)])
+    def test_every_field_rejects_a_boolean(self, tmp_path, capsys, field):
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"m": 8, "n": 2, field: True}))
+        assert run(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.txt")]) == 1
+        assert f"GenSpec: {field} must be " in capsys.readouterr().err
+
+    def test_integers_are_numbers(self, tmp_path):
+        cfg = tmp_path / "g.json"
+        spec = {"m": 8, "n": 2, "block_sizes": [4, 4], "block_scales": [1, 100],
+                "kappa": 10, "sv_mode": "randsvd"}
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "x.txt"
+        assert run(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_matrix(out).shape == (8, 2)
 
     def test_kappa_without_randsvd_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "g.json"
@@ -159,6 +200,67 @@ class TestPerturb:
         assert f"{kind} does not read {field}" in capsys.readouterr().err
         assert not delta_path.exists()
 
+    @pytest.mark.parametrize(
+        ("recipe", "message"),
+        [
+            (
+                {"kind": "normwise_fro", "eps": "1e-8"},
+                'normwise_fro eps must be a number, got "1e-8"',
+            ),
+            (
+                {"kind": "normwise_two", "eps": True},
+                "normwise_two eps must be a number, got true",
+            ),
+            (
+                {"kind": "row_subset", "eps": 1e-8, "row_start": 1.5, "row_stop": 9},
+                "row_subset row_start must be an integer, got 1.5",
+            ),
+            (
+                {"kind": "row_subset", "eps": 1e-8, "row_start": 0, "row_stop": [9]},
+                "row_subset row_stop must be an integer, got an array",
+            ),
+            (
+                {"kind": "rotation", "target_sin": None},
+                "rotation target_sin must be a number, got null",
+            ),
+            (
+                {"kind": "componentwise_rows", "eta": [1e-8] * 19 + [False]},
+                "componentwise_rows eta must be a number or an array of numbers, "
+                "got an array",
+            ),
+        ],
+    )
+    def test_wrong_json_type_exits_one(self, tmp_path, capsys, recipe, message):
+        code, delta_path = self._perturb(tmp_path, recipe)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"qrlev perturb: {message}\n"
+        assert not delta_path.exists()
+
+    def test_eta_per_row_array_runs(self, tmp_path):
+        recipe = {"kind": "componentwise_rows", "eta": [1e-8] * 19 + [0]}
+        code, delta_path = self._perturb(tmp_path, recipe)
+        assert code == 0
+        assert not read_matrix(delta_path)[19].any()
+
+    def test_rotation_accepts_basis_within_basis_tol(self, tmp_path):
+        # 12 significant digits leave the stepped basis with a Gram
+        # residual (4.09e-12) above the QR kernel's ORTH_TOL * n but
+        # within the BASIS_TOL a rotation checks its input against.
+        q = stepped_orthonormal(42)
+        mat = tmp_path / "q.txt"
+        rows = "".join(" ".join(f"{x:.12g}" for x in row) + "\n" for row in q)
+        mat.write_text("1000 25\n" + rows)
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"kind": "rotation", "target_sin": 1e-6}))
+        delta_path = tmp_path / "d.txt"
+        code = run([
+            "perturb", str(mat), "--config", str(cfg), "--seed", "1",
+            "--out", str(delta_path), "--metrics-out", str(tmp_path / "m.json"),
+        ])
+        assert code == 0
+        assert read_matrix(delta_path).shape == (1000, 25)
+
 
 class TestLevscores:
     def test_csv_stdout(self, tmp_path, capsys):
@@ -214,6 +316,39 @@ class TestBounds:
         code = run(["bounds", "t3_4", "--matrix", str(mat), "--delta", str(dlt)])
         assert code == 1
         assert "T3_4 needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("name", "theorem", "limit"),
+        [("t2", "T2", "<= 0.5"), ("t3_1", "T3_1", "<= 0.5"),
+         ("t3_2", "T3_2", "< 1.0"), ("t3_3", "T3_3", "<= 0.5")],
+    )
+    def test_hypothesis_violation_exit_one(
+        self, tmp_path, capsys, name, theorem, limit
+    ):
+        # ||delta||_2 = 2 ||a||_2 on the stepped matrix (kappa2 = 1)
+        # breaks every two-norm hypothesis.
+        mat, dlt, cfg = tmp_path / "a.txt", tmp_path / "d.txt", tmp_path / "p.json"
+        cfg.write_text(json.dumps({"kind": "normwise_two", "eps": 2.0}))
+        gen = ["gen", "--preset", "stepped", "--seed", "42", "--out", str(mat)]
+        assert run(gen) == 0
+        assert run([
+            "perturb", str(mat), "--config", str(cfg), "--seed", "1", "--out", str(dlt),
+            "--metrics-out", str(tmp_path / "m.json"),
+        ]) == 0
+        a, delta = read_matrix(mat), read_matrix(dlt)
+        product = measure(a, delta).eps_two * matrix_stats(a).kappa2
+        capsys.readouterr()
+        out = tmp_path / "r.csv"
+        code = run([
+            "bounds", name, "--matrix", str(mat), "--delta", str(dlt),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"qrlev bounds: {theorem} needs ||delta||_2 ||pinv(a)||_2 {limit}, "
+            f"got {product:.3e}\n"
+        )
+        assert not out.exists()
 
     def test_t2_json(self, tmp_path):
         a = np.random.default_rng(5).standard_normal((25, 3))

@@ -3,7 +3,7 @@ import pytest
 
 from qrlev.angles import principal_angles
 from qrlev.generate import random_orthonormal, stepped_orthonormal
-from qrlev.linalg import RankDeficiencyError, gram_residual
+from qrlev.linalg import BASIS_TOL, ORTH_TOL, RankDeficiencyError, gram_residual
 from qrlev.perturb import (
     componentwise_row_perturbation,
     make_perturbation,
@@ -28,6 +28,17 @@ class TestRotation:
         a = stepped_orthonormal(42)
         q_tilde = rotation_perturbation(a, 1e-6, 7)
         measured = principal_angles(a, q_tilde).sin_theta_max
+        assert 0.999e-6 <= measured <= 1.001e-6
+
+    def test_accepts_any_basis_within_basis_tol(self):
+        # Rounded to 12 significant digits, the stepped basis has a Gram
+        # residual (4.09e-12) within BASIS_TOL but above the QR kernel's
+        # own ORTH_TOL * n.
+        a = stepped_orthonormal(42)
+        q = np.array([float(f"{x:.12g}") for x in a.ravel()]).reshape(a.shape)
+        assert ORTH_TOL * q.shape[1] < gram_residual(q) <= BASIS_TOL
+        q_tilde = rotation_perturbation(q, 1e-6, 7)
+        measured = principal_angles(q, q_tilde).sin_theta_max
         assert 0.999e-6 <= measured <= 1.001e-6
 
     def test_target_sweep_accuracy(self):
