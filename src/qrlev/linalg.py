@@ -137,7 +137,7 @@ def householder_qr(a):
         v[0] -= alpha
         v /= np.linalg.norm(v)
         ws[k, k:] = v
-        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
+        r[k:, k:] -= 2.0 * (v[:, None] * (v @ r[k:, k:]))
         r[k, k] = alpha
         r[k + 1:, k] = 0.0
 
@@ -146,13 +146,20 @@ def householder_qr(a):
     for k in range(n - 1, -1, -1):
         v = ws[k, k:]
         if v.any():
-            q[k:, :] -= 2.0 * np.outer(v, v @ q[k:, :])
+            q[k:, :] -= 2.0 * (v[:, None] * (v @ q[k:, :]))
 
     r = r[:n, :]
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     q = q * signs
     r = r * signs[:, None]
     return ThinQR(q, np.triu(r))
+
+
+def _jacobi_workspace(a):
+    """w = [a; I; g] with its row blocks u = a, v = I and g (unset)."""
+    m, n = a.shape
+    w = np.concatenate((a, np.eye(n), np.empty((n, n))))
+    return (w, *np.split(w, (m, m + n)))
 
 
 def _jacobi_kernel(a):
@@ -165,18 +172,26 @@ def _jacobi_kernel(a):
     current incrementally within a sweep and recomputed fresh at each
     sweep start so accumulated round-off cannot fake convergence.
     """
-    m, n = a.shape
     # u, v and the Gram matrix g are row blocks of one C-contiguous array
-    # w, so one column rotation turns all three. u keeps the strides of
-    # a.copy() (same BLAS path for u.T @ u), each entry is rounded as
-    # before and Python floats round as numpy scalars: results are bit
-    # for bit unchanged. np.hypot stays: math.hypot differs in the last bit.
-    w = np.concatenate((a, np.eye(n), np.empty((n, n))))
-    u, v, g = np.split(w, (m, m + n))
+    # w, so one in-place column rotation turns all three. u keeps the
+    # strides of a.copy() (same BLAS path for u.T @ u). The results are
+    # bit for bit those of rotating u, v and g's columns and then g's rows
+    # with fresh temporaries, because:
+    # - g is bitwise symmetric: u.T @ u is, and each rotation keeps it so.
+    #   Off the 2 x 2 block the row formula then rounds exactly as the
+    #   column formula, so g's new rows p and q are copies of its columns.
+    # - the 2 x 2 block is updated in Python floats from the old app, apq
+    #   and aqq; Python floats round as numpy float64 scalars do.
+    # - np.hypot stays: math.hypot differs in the last bit.
+    n = a.shape[1]
+    w, u, v, g = _jacobi_workspace(a)
+    cols, g_cols, g_rows = list(w.T), list(g.T), list(g)
+    sx, sy = np.empty(w.shape[0]), np.empty(w.shape[0])
     for _ in range(JACOBI_MAX_SWEEPS):
         g[:] = u.T @ u
         rotated = False
         for p in range(n - 1):
+            x, g_p = cols[p], g_rows[p]
             for q_ in range(p + 1, n):
                 app, aqq, apq = g.item(p, p), g.item(q_, q_), g.item(p, q_)
                 if app == 0.0 or aqq == 0.0:
@@ -189,14 +204,24 @@ def _jacobi_kernel(a):
                 # apq == 0 here only if prod < 0; zeta is then infinite.
                 zeta = ((aqq - app) / (2.0 * apq) if apq
                         else math.copysign(math.inf, (aqq - app) * apq))
-                t = (math.copysign(1.0, zeta) / (abs(zeta) + np.hypot(1.0, zeta))
+                t = (math.copysign(1.0, zeta)
+                     / (abs(zeta) + float(np.hypot(1.0, zeta)))
                      if zeta != 0.0 else 1.0)
-                c = 1.0 / np.hypot(1.0, t)
+                c = 1.0 / float(np.hypot(1.0, t))
                 s = c * t
-                # Columns of u, v and g, then rows of g: exact zero in (p, q).
-                _rotate(w[:, p], w[:, q_], c, s)
-                _rotate(g[p], g[q_], c, s)
-                g[p, q_] = g[q_, p] = 0.0
+                # x, y <- c*x - s*y, s*x + c*y, each product rounded once.
+                y, g_q = cols[q_], g_rows[q_]
+                np.multiply(x, s, out=sx)
+                np.multiply(y, s, out=sy)
+                x *= c
+                x -= sy
+                y *= c
+                y += sx
+                g_p[...] = g_cols[p]
+                g_q[...] = g_cols[q_]
+                g_p[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+                g_q[q_] = c * (c * aqq + s * apq) + s * (c * apq + s * app)
+                g_p[q_] = g_q[p] = 0.0
         if not rotated:
             break
     else:
@@ -217,21 +242,13 @@ def _jacobi_kernel(a):
     return u, sigma, v
 
 
-def _rotate(x, y, c, s):
-    """In place: x, y <- c*x - s*y, s*x + c*y, rounded as written."""
-    sx = s * x
-    x *= c
-    x -= s * y
-    y *= c
-    y += sx
-
-
 def _complete_basis(u, missing):
     """Fill the listed columns with unit vectors orthogonal to the rest."""
     u = u.copy()
     m = u.shape[0]
     have = [u[:, j] for j in range(u.shape[1]) if j not in set(missing)]
     for j in missing:
+        best = None
         for k in range(m):
             cand = np.zeros(m)
             cand[k] = 1.0
@@ -239,12 +256,19 @@ def _complete_basis(u, missing):
                 cand -= (w @ cand) * w
             norm = np.linalg.norm(cand)
             if norm > 0.5:
-                cand /= norm
-                u[:, j] = cand
-                have.append(cand)
                 break
+            if best is None or norm > best[1]:
+                best = cand, norm
         else:
-            raise ValueError("could not complete orthonormal basis")
+            # No unit vector keeps half its length. The one that keeps the
+            # most keeps at least 1/sqrt(m): orthogonalize it once more.
+            cand = best[0]
+            for w in have:
+                cand -= (w @ cand) * w
+            norm = np.linalg.norm(cand)
+        cand /= norm
+        u[:, j] = cand
+        have.append(cand)
     return u
 
 

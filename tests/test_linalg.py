@@ -109,6 +109,20 @@ class TestJacobiSVD:
         np.testing.assert_allclose(res.sigma[1:], 0.0, atol=1e-15)
         assert gram_residual(res.u) <= 1e-13
 
+    def test_square_rank_deficient_basis_completed(self):
+        # A square input's missing column has a one-dimensional
+        # complement; often no unit vector keeps half its length there.
+        rng = np.random.default_rng(0)
+        for n in range(2, 13):
+            for _ in range(20):
+                a = rng.standard_normal((n, n))
+                a[:, rng.integers(n)] = 0.0
+                res = jacobi_svd(a)
+                assert res.sigma[-1] == 0.0
+                assert gram_residual(res.u) <= 1e-13 * n
+                recon = (res.u * res.sigma) @ res.v.T
+                assert np.linalg.norm(recon - a) <= 1e-13 * np.linalg.norm(a)
+
     def test_singular_values_of_orthonormal_product(self):
         # Products q.T q_tilde of orthonormal bases have singular
         # values in [0, 1] up to round-off.
@@ -211,6 +225,84 @@ def test_extreme_magnitudes_prescaled(scale):
     assert np.isfinite(res1.u).all()
 
 
+def _reference_qr(a):
+    """
+    The Householder QR that linalg.householder_qr must reproduce bit
+    for bit: rank-one updates through np.outer.
+    """
+    a = as_matrix(a, "a")
+    m, n = a.shape
+    exponent = linalg._range_exponent(a)
+    if exponent:
+        q, r = _reference_qr(np.ldexp(a, -exponent))
+        return q, np.ldexp(r, exponent)
+
+    r = a.copy()
+    ws = np.zeros((n, m))
+    for k in range(n):
+        x = r[k:, k]
+        norm_x = np.linalg.norm(x)
+        if norm_x == 0.0:
+            continue
+        alpha = -norm_x if x[0] >= 0 else norm_x
+        v = x.copy()
+        v[0] -= alpha
+        v /= np.linalg.norm(v)
+        ws[k, k:] = v
+        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
+        r[k, k] = alpha
+        r[k + 1:, k] = 0.0
+
+    q = np.zeros((m, n))
+    q[:n, :n] = np.eye(n)
+    for k in range(n - 1, -1, -1):
+        v = ws[k, k:]
+        if v.any():
+            q[k:, :] -= 2.0 * np.outer(v, v @ q[k:, :])
+
+    r = r[:n, :]
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    q = q * signs
+    r = r * signs[:, None]
+    return q, np.triu(r)
+
+
+def _qr_inputs():
+    rng = np.random.default_rng(77)
+    cases = {
+        "n=1": rng.standard_normal((9, 1)),
+        "m=n": rng.standard_normal((12, 12)),
+        "m=2n": rng.standard_normal((50, 25)),
+        "gaussian 1000 x 25": rng.standard_normal((1000, 25)),
+    }
+    zero_col = rng.standard_normal((30, 6))
+    zero_col[:, 3] = 0.0
+    cases["zero column"] = zero_col
+    zero_rows = rng.standard_normal((30, 6))
+    zero_rows[[0, 7, 8, 29]] = 0.0
+    cases["zero rows"] = zero_rows
+    for scale in (1e-200, 1e200):
+        cases[f"scaled {scale:g}"] = scale * rng.standard_normal((40, 5))
+    cases["rows graded 1 to 1e8"] = (
+        np.logspace(0, 8, 200)[:, None] * rng.standard_normal((200, 10))
+    )
+    cases["stepped Gaussian"] = stepped_gaussian(rng)
+    return cases
+
+
+QR_INPUTS = _qr_inputs()
+
+
+@pytest.mark.parametrize("name", list(QR_INPUTS))
+def test_householder_qr_byte_identical_to_reference(name):
+    a = QR_INPUTS[name]
+    got = householder_qr(a)
+    want = _reference_qr(a)
+    for label, x, y in zip(("q", "r"), got, want):
+        assert x.shape == y.shape, label
+        assert x.tobytes() == y.tobytes(), f"{label} differs on {name}"
+
+
 def _reference_kernel(a):
     """
     The rotation-by-rotation one-sided Jacobi kernel that
@@ -296,7 +388,33 @@ def _kernel_inputs():
     return cases
 
 
-KERNEL_INPUTS = _kernel_inputs()
+def _kernel_sweep(count=200):
+    """
+    Seeded square inputs, n from 1 to 12: plain, column-scaled and
+    row-scaled up to 1e12, with a zero column, and with one column a
+    multiple of another.
+    """
+    rng = np.random.default_rng(4096)
+    cases = {}
+    for i in range(count):
+        n = 1 + i % 12
+        a = rng.standard_normal((n, n))
+        kind = ("plain", "columns scaled", "rows scaled", "zero column",
+                "column multiple")[i % 5]
+        if kind == "columns scaled":
+            a *= 10.0 ** rng.uniform(-12, 12, n)
+        elif kind == "rows scaled":
+            a *= 10.0 ** rng.uniform(-12, 12, (n, 1))
+        elif kind == "zero column":
+            a[:, rng.integers(n)] = 0.0
+        elif kind == "column multiple" and n > 1:
+            j, k = rng.choice(n, 2, replace=False)
+            a[:, j] = rng.uniform(-4.0, 4.0) * a[:, k]
+        cases[f"sweep {i}: n={n}, {kind}"] = a
+    return cases
+
+
+KERNEL_INPUTS = {**_kernel_inputs(), **_kernel_sweep()}
 
 
 @pytest.mark.parametrize("name", list(KERNEL_INPUTS))
@@ -307,6 +425,21 @@ def test_jacobi_kernel_byte_identical_to_reference(name):
     for label, x, y in zip(("u", "sigma", "v"), got, want):
         assert x.shape == y.shape, label
         assert x.tobytes() == y.tobytes(), f"{label} differs on {name}"
+
+
+@pytest.mark.parametrize("name", list(KERNEL_INPUTS))
+def test_gram_matrix_is_bitwise_symmetric_in_the_kernel_layout(name):
+    # _jacobi_kernel writes g's rotated columns into its rows, which
+    # gives the row rotation's bits only while g is bitwise symmetric.
+    rng = np.random.default_rng(5)
+    a = KERNEL_INPUTS[name]
+    for u0 in (a, np.vstack((a, rng.standard_normal(a.shape)))):
+        w, u, v, g = linalg._jacobi_workspace(u0.copy())
+        g[:] = u.T @ u
+        assert g.tobytes() == g.T.copy().tobytes(), (
+            f"u.T @ u is not bitwise symmetric on {name} {u0.shape}: "
+            "the kernel's row copy of the Gram matrix relies on it"
+        )
 
 
 def test_jacobi_convergence_error_at_sweep_limit(monkeypatch):
