@@ -17,13 +17,15 @@ T3_4         first order, componentwise row-scaled perturbations
 
 Each bound_* evaluator only evaluates: it reads the scores and the
 perturbation sizes and returns the per-index bound, never the observed
-differences. The exact bounds (T1, C1, T2, T3_1) carry no dropped
-terms and must hold outright; T3_2 through T3_4 are first order, so
-verification allows the documented outlier slack (99 percent of
-indices within the bound, all indices within 10x). check_policy is
-the one place either rule is applied, by the callers that read a
-verdict; the theorem tag picks the rule, and FIRST_ORDER_TAGS lists
-the tags that take the outlier policy.
+differences, after _check_hypothesis has confirmed that the bound
+applies (T1 and C1 hold for any angles). Every rule for checking a bound lives here, keyed by the
+theorem tag: observed gives the quantity a tag bounds (the absolute
+difference for T1_abs, the relative one for every other tag), and
+check_policy decides whether it holds. The exact bounds (T1, C1, T2,
+T3_1) carry no dropped terms and must hold outright; T3_2 through T3_4
+are first order, so verification allows the documented outlier slack
+(99 percent of indices within the bound, all indices within 10x).
+FIRST_ORDER_TAGS lists the tags that take the outlier policy.
 """
 
 import math
@@ -31,21 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leverage import full_rank_qr
+from .leverage import full_rank_qr, relative_diffs
 from .linalg import as_matrix, solve_upper, triu_half, two_norm
 
 FIRST_ORDER_TAGS = ("T3_2", "T3_3", "T3_4")
 
-# Slack for exact bounds: floating-point evaluation of both sides only.
+# Slack for exact bounds and the T1 enclosure: floating-point
+# evaluation of both sides only.
 EXACT_REL_SLACK = 1e-3
 EXACT_ABS_SLACK = 1e-12
 
 # First-order outlier policy.
 FIRST_ORDER_HOLD_FRACTION = 0.99
 FIRST_ORDER_CAP = 10.0
-
-# Slack of the two-sided T1 enclosure: floating-point evaluation only.
-SANDWICH_SLACK = 1e-12
 
 
 class HypothesisError(ValueError):
@@ -65,6 +65,17 @@ class PolicyCheck:
     @property
     def violations(self):
         return int(np.count_nonzero(~self.holds))
+
+
+def observed(theorem, lev, lev_tilde):
+    """
+    The per-index quantity the theorem tag bounds: |lev_tilde - lev|
+    for T1_abs, and |lev_tilde - lev| / lev (NaN where lev <= 0) for
+    every other tag.
+    """
+    if theorem == "T1_abs":
+        return np.abs(np.subtract(lev_tilde, lev))
+    return relative_diffs(lev, lev_tilde)
 
 
 def check_policy(observed, bound, theorem):
@@ -104,7 +115,7 @@ def check_policy(observed, bound, theorem):
     return PolicyCheck(holds, frac, worst, bool(ok), first_order)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
     """One evaluated bound, per index."""
 
@@ -143,21 +154,24 @@ def bound_t1(lev, angles):
     sn = angles.sin_theta_max
     clipped = np.clip(lev, 0.0, 1.0)
     bound = 2.0 * np.sqrt(clipped * (1.0 - clipped)) * c1 * sn + sn**2
-    report = BoundReport(theorem="T1_abs", per_index_bound=bound)
+    lower = upper = None
     if lev.shape[0] == 2 * angles.cosines.shape[0]:
         root = np.sqrt(clipped)
         co_root = np.sqrt(1.0 - clipped)
-        report.lower = 1.0 - (sn * root + c1 * co_root) ** 2
-        report.upper = (c1 * root + sn * co_root) ** 2
-    return report
+        lower = 1.0 - (sn * root + c1 * co_root) ** 2
+        upper = (c1 * root + sn * co_root) ** 2
+    return BoundReport("T1_abs", bound, lower, upper)
 
 
 def sandwich_holds(report, pert_lev):
-    """Check the two-sided enclosure against perturbed scores."""
+    """
+    Check the two-sided enclosure against perturbed scores, with
+    EXACT_ABS_SLACK on either side.
+    """
     if report.lower is None or report.upper is None:
         raise ValueError("report carries no sandwich bounds")
     pert_lev = _as_scores(pert_lev)
-    low, high = report.lower - SANDWICH_SLACK, report.upper + SANDWICH_SLACK
+    low, high = report.lower - EXACT_ABS_SLACK, report.upper + EXACT_ABS_SLACK
     return (pert_lev >= low) & (pert_lev <= high)
 
 
@@ -176,13 +190,16 @@ def bound_c1(lev, angles):
     return BoundReport(theorem="C1_rel", per_index_bound=bound)
 
 
-def _check_hypothesis(product, limit, strict, tag):
+def _check_hypothesis(product, limit, strict, tag, quantity="||delta||_2 ||pinv(a)||_2"):
+    """
+    The one applicability check. Raises HypothesisError naming the tag
+    and the quantity unless product < limit (strict) or product <= limit;
+    a NaN product never applies.
+    """
     if (product < limit) if strict else (product <= limit):
         return
     rel = "<" if strict else "<="
-    raise HypothesisError(
-        f"{tag} needs ||delta||_2 ||pinv(a)||_2 {rel} {limit}, got {product:.3e}"
-    )
+    raise HypothesisError(f"{tag} needs {quantity} {rel} {limit}, got {product:.3e}")
 
 
 def bound_t2(lev, stats, metrics):
@@ -275,20 +292,9 @@ def bound_t3_4(eta, n, kappa2):
     if np.any(eta < 0):
         raise ValueError("eta must be nonnegative")
     eta_max = float(eta.max())
-    if not eta_max * kappa2 < 1.0:
-        raise HypothesisError(
-            f"T3_4 needs max(eta) * kappa2 < 1, got {eta_max * kappa2:.3e}"
-        )
+    _check_hypothesis(eta_max * kappa2, 1, True, "T3_4", "max(eta) * kappa2")
     bound = 2.0 * (eta + np.sqrt(2.0) * n * eta_max)
     return BoundReport(theorem="T3_4", per_index_bound=bound)
-
-
-@dataclass(frozen=True)
-class RdotRinv:
-    """Scaled derivative of the triangular factor times its inverse."""
-
-    matrix: np.ndarray  # n x n upper triangular
-    fro_norm: float
 
 
 def _rdot_rinv_matrix(q, r, delta, eps_f):
@@ -319,8 +325,7 @@ def rdot_rinv(a, delta):
     if eps_f == 0.0:
         raise ValueError("delta must be nonzero")
     q, r, _ = full_rank_qr(a)
-    matrix = _rdot_rinv_matrix(q, r, delta, eps_f)
-    return RdotRinv(matrix=matrix, fro_norm=float(np.linalg.norm(matrix, "fro")))
+    return _rdot_rinv_matrix(q, r, delta, eps_f)
 
 
 def delta_q_first_order(a, delta):
@@ -338,12 +343,9 @@ def delta_q_first_order(a, delta):
     if not delta.any():
         return np.zeros_like(a)
     q, r, svd_r = full_rank_qr(a)
-    product = two_norm(delta) / float(svd_r.sigma[-1])
-    if not product < 1.0:
-        raise HypothesisError(
-            f"first-order prediction needs ||delta||_2 ||pinv(a)||_2 < 1, "
-            f"got {product:.3e}"
-        )
+    _check_hypothesis(
+        two_norm(delta) / float(svd_r.sigma[-1]), 1, True, "first-order prediction"
+    )
     eps_f = float(np.linalg.norm(delta, "fro")) / float(np.linalg.norm(a, "fro"))
     rr = _rdot_rinv_matrix(q, r, delta, eps_f)
     return solve_upper(r, delta.T, transpose=True).T - eps_f * (q @ rr)

@@ -6,10 +6,10 @@ Each figure is a fixed recipe whose only input is a seed; every other
 parameter is a literal or named constant in its runner. A runner
 generates its matrices and perturbations from that seed (sub-streams
 are spawned in a fixed documented order, so equal seeds give
-byte-identical CSV output), computes observed relative leverage-score
-differences, evaluates the figure's bound at every index, and returns
-one FigurePanel per panel: per-index columns ell, ell_tilde, rel_diff
-and bound, where row j of the CSV is index j.
+byte-identical CSV output), evaluates the figure's bound at every
+index, and returns one FigurePanel per panel: per-index columns ell,
+ell_tilde, rel_diff (the quantity bounds.observed gives for the
+panel's theorem) and bound, where row j of the CSV is index j.
 
 Figure map
 ----------
@@ -49,6 +49,7 @@ from .bounds import (
     bound_t3_2,
     bound_t3_4,
     check_policy,
+    observed,
 )
 from .generate import (
     STEPPED_BLOCKS,
@@ -57,7 +58,7 @@ from .generate import (
     stepped_orthonormal,
 )
 from .io import format_float
-from .leverage import leverage_qr, matrix_stats, relative_diffs
+from .leverage import leverage_qr, matrix_stats
 from .perturb import (
     componentwise_row_perturbation,
     measure,
@@ -118,8 +119,9 @@ class FigurePanel:
         return cls(name, SCORES_TAG, lev, nan, nan, nan)
 
     @classmethod
-    def from_report(cls, name, lev, lev_tilde, observed, report):
-        return cls(name, report.theorem, lev, lev_tilde, observed, report.per_index_bound)
+    def from_report(cls, name, lev, lev_tilde, report):
+        diff = observed(report.theorem, lev, lev_tilde)
+        return cls(name, report.theorem, lev, lev_tilde, diff, report.per_index_bound)
 
 
 def _spawn_rngs(seed, count):
@@ -139,13 +141,12 @@ def run_fig1(seed):
         q_tilde = rotation_perturbation(a, target, rngs[1 + k])
         angles = principal_angles(a, q_tilde)
         lev_tilde = leverage_qr(q_tilde)
-        rel = relative_diffs(lev, lev_tilde)
         report = bound_c1(lev, angles)
         logger.info(
             "fig1 panel %s: target sin %.3e, measured sin %.6e",
             panel, target, angles.sin_theta_max,
         )
-        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, rel, report))
+        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
     return panels
 
 
@@ -164,15 +165,14 @@ def run_fig2(seed):
         delta = normwise_perturbation(mat, eps, "two", rng)
         metrics = measure(mat, delta)
         lev_tilde = leverage_qr(mat + delta)
-        rel = relative_diffs(lev, lev_tilde)
         projected, general = bound_t2(lev, stats, metrics)
         logger.info(
             "fig2 matrix %s: kappa2 %.3e, eps_two %.3e, measured eps_two_perp %.3e",
             score_panel, stats.kappa2, metrics.eps_two, metrics.eps_two_perp,
         )
         panels.append(FigurePanel.scores(score_panel, lev))
-        panels.append(FigurePanel.from_report(gen_panel, lev, lev_tilde, rel, general))
-        panels.append(FigurePanel.from_report(perp_panel, lev, lev_tilde, rel, projected))
+        panels.append(FigurePanel.from_report(gen_panel, lev, lev_tilde, general))
+        panels.append(FigurePanel.from_report(perp_panel, lev, lev_tilde, projected))
     # Emit in panel order a, b, c, d, e, f.
     panels.sort(key=lambda p: p.name)
     return panels
@@ -191,9 +191,8 @@ def run_fig3(seed):
         delta = normwise_perturbation(a, eps_f, "fro", rngs[1 + k])
         metrics = measure(a, delta)
         lev_tilde = leverage_qr(a + delta)
-        rel = relative_diffs(lev, lev_tilde)
         report = bound_t3_1(lev, stats, metrics)
-        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, rel, report))
+        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
     return panels
 
 
@@ -220,10 +219,9 @@ def fig4_panels(seed, bounds):
     for panel, delta in deltas:
         metrics = measure(a, delta)
         lev_tilde = leverage_qr(a + delta)
-        rel = relative_diffs(lev, lev_tilde)
         for panels, bound in zip(per_bound, bounds):
             report = bound(stats, metrics)
-            panels.append(FigurePanel.from_report(panel, lev, lev_tilde, rel, report))
+            panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
     return per_bound
 
 
@@ -246,9 +244,8 @@ def run_fig5(seed):
         eta = np.full(mat.shape[0], 1e-8)
         delta = componentwise_row_perturbation(mat, eta, rng)
         lev_tilde = leverage_qr(mat + delta)
-        rel = relative_diffs(lev, lev_tilde)
         report = bound_t3_4(eta, mat.shape[1], kappa2=stats.kappa2)
-        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, rel, report))
+        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
     return panels
 
 

@@ -131,8 +131,21 @@ def randsvd_matrix(m, n, kappa, rng):
     return (u * sigma) @ v.T
 
 
-def _block_scaling(block_sizes, block_scales):
-    return np.repeat(np.asarray(block_scales, dtype=np.float64), block_sizes)
+def stepped_spec(sv_mode):
+    """
+    The stepped recipe over the given core: STEPPED_BLOCKS scaled by
+    STEPPED_BLOCK_SCALES, times a STEPPED_M x STEPPED_N "gaussian",
+    "orthonormal" or "randsvd" core; the randsvd core has condition
+    number STEPPED_KAPPA.
+    """
+    return GenSpec(
+        m=STEPPED_M,
+        n=STEPPED_N,
+        block_sizes=list(STEPPED_BLOCK_SIZES),
+        block_scales=list(STEPPED_BLOCK_SCALES),
+        kappa=STEPPED_KAPPA if sv_mode == "randsvd" else 1.0,
+        sv_mode=sv_mode,
+    )
 
 
 def stepped_gaussian(rng):
@@ -140,29 +153,7 @@ def stepped_gaussian(rng):
     The raw row-scaled Gaussian behind the stepped matrices: four
     250-row blocks scaled 1, 1e2, 1e3, 1e4 times randn(1000, 25).
     """
-    d = _block_scaling(STEPPED_BLOCK_SIZES, STEPPED_BLOCK_SCALES)
-    return d[:, None] * gaussian_matrix(STEPPED_M, STEPPED_N, rng)
-
-
-def stepped_orthonormal_spec():
-    return GenSpec(
-        m=STEPPED_M,
-        n=STEPPED_N,
-        block_sizes=list(STEPPED_BLOCK_SIZES),
-        block_scales=list(STEPPED_BLOCK_SCALES),
-        sv_mode="orthonormal",
-    )
-
-
-def stepped_illconditioned_spec():
-    return GenSpec(
-        m=STEPPED_M,
-        n=STEPPED_N,
-        block_sizes=list(STEPPED_BLOCK_SIZES),
-        block_scales=list(STEPPED_BLOCK_SCALES),
-        kappa=STEPPED_KAPPA,
-        sv_mode="randsvd",
-    )
+    return generate(stepped_spec("gaussian"), rng)
 
 
 def stepped_orthonormal(rng):
@@ -171,7 +162,7 @@ def stepped_orthonormal(rng):
     plateaus from about 1e-10 to about 1e-1 (kappa2 == 1 by
     construction).
     """
-    return generate(stepped_orthonormal_spec(), rng)
+    return generate(stepped_spec("orthonormal"), rng)
 
 
 def stepped_illconditioned(rng):
@@ -182,7 +173,7 @@ def stepped_illconditioned(rng):
     while the condition number of the product lands near the core's
     (seed dependent; measured, not asserted).
     """
-    return generate(stepped_illconditioned_spec(), rng)
+    return generate(stepped_spec("randsvd"), rng)
 
 
 def generate(spec, rng):
@@ -193,7 +184,8 @@ def generate(spec, rng):
     else:
         core = gaussian_matrix(spec.m, spec.n, rng)
     if spec.block_sizes:
-        core = _block_scaling(spec.block_sizes, spec.block_scales)[:, None] * core
+        scales = np.asarray(spec.block_scales, dtype=np.float64)
+        core = np.repeat(scales, spec.block_sizes)[:, None] * core
     if spec.sv_mode == "orthonormal":
         return householder_qr(core).q
     return core

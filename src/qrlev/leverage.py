@@ -35,11 +35,8 @@ RANK_TOL_FACTOR = 1e-15
 class MatrixStats:
     """Scalar conditioning summary of a matrix."""
 
-    kappa2: float         # two_norm / sigma_min
-    stable_rank: float    # frobenius_norm**2 / two_norm**2
-    two_norm: float
-    frobenius_norm: float
-    sigma_min: float
+    kappa2: float       # sigma_max / sigma_min
+    stable_rank: float  # ||a||_F**2 / ||a||_2**2
 
 
 def leverage_from_basis(q):
@@ -103,7 +100,7 @@ def leverage_svd(a):
 
 def matrix_stats(a):
     """
-    Condition number, stable rank, and the norms behind them.
+    Condition number and stable rank.
 
     kappa2 is sigma_max / sigma_min; the stable rank is
     ||a||_F**2 / ||a||_2**2 and never exceeds the column count. Same
@@ -113,13 +110,7 @@ def matrix_stats(a):
     sigma = full_rank_qr(a)[2].sigma
     two = float(sigma[0])
     fro = float(np.linalg.norm(a, "fro"))
-    return MatrixStats(
-        kappa2=two / float(sigma[-1]),
-        stable_rank=fro**2 / two**2,
-        two_norm=two,
-        frobenius_norm=fro,
-        sigma_min=float(sigma[-1]),
-    )
+    return MatrixStats(kappa2=two / float(sigma[-1]), stable_rank=fro**2 / two**2)
 
 
 def relative_diffs(base, pert):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from qrlev.bounds import (
     bound_t3_4,
     check_policy,
     delta_q_first_order,
+    observed,
     qr_q_difference,
     rdot_rinv,
     sandwich_holds,
@@ -48,13 +51,7 @@ def metrics_of(eps_two=0.0, eps_fro=0.0, eps_two_perp=0.0, eps_fro_perp=0.0,
 
 
 def stats_of(kappa2=1.0, stable_rank=25.0):
-    return MatrixStats(
-        kappa2=kappa2,
-        stable_rank=stable_rank,
-        two_norm=1.0,
-        frobenius_norm=np.sqrt(stable_rank),
-        sigma_min=1.0 / kappa2,
-    )
+    return MatrixStats(kappa2=kappa2, stable_rank=stable_rank)
 
 
 class TestBoundT1:
@@ -71,7 +68,10 @@ class TestBoundT1:
         lev6 = np.full(6, 0.5)
         assert bound_t1(lev6, angles_of(0.1, n=3)).lower is not None
         lev7 = np.full(7, 0.5)
-        assert bound_t1(lev7, angles_of(0.1, n=3)).lower is None
+        report = bound_t1(lev7, angles_of(0.1, n=3))
+        assert report.lower is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.lower = np.zeros(7)
 
     def test_complement_forces_flip(self):
         rng = np.random.default_rng(2)
@@ -85,6 +85,13 @@ class TestBoundT1:
         np.testing.assert_allclose(report.lower, 1.0 - lev, atol=1e-12)
         np.testing.assert_allclose(report.upper, 1.0 - lev, atol=1e-12)
         assert sandwich_holds(report, lev_tilde).all()
+
+    def test_sandwich_slack_edge(self):
+        # The enclosure allows EXACT_ABS_SLACK = 1e-12 on either side.
+        report = bound_t1(np.full(6, 0.5), angles_of(0.1, n=3))
+        for edge, outward in ((report.lower, -1.0), (report.upper, 1.0)):
+            assert sandwich_holds(report, edge + outward * 0.5e-12).all()
+            assert not sandwich_holds(report, edge + outward * 2e-12).any()
 
     def test_holds_with_observed(self):
         lev = np.array([0.2, 0.8])
@@ -354,13 +361,70 @@ class TestCheckPolicy:
         assert check.frac == 0.5 and check.worst == 2.0 and not check.ok
 
 
+@pytest.mark.parametrize(
+    ("theorem", "expected"),
+    [
+        ("T1_abs", [0.125, 0.125, 0.25]),
+        *[
+            (tag, [np.nan, 0.5, 0.5])
+            for tag in ("C1_rel", "T2_perp", "T2_gen", "T3_1", "T3_2", "T3_3", "T3_4")
+        ],
+    ],
+)
+def test_observed_quantity_by_tag(theorem, expected):
+    # T1 bounds the absolute difference, every other tag the relative
+    # one, which is undefined where the score is zero.
+    lev = np.array([0.0, 0.25, 0.5])
+    lev_tilde = np.array([0.125, 0.125, 0.75])
+    np.testing.assert_array_equal(observed(theorem, lev, lev_tilde), expected)
+
+
+def _first_order_at(product):
+    # ||delta||_2 = product exactly and sigma_min(a) = 1 exactly.
+    delta = np.zeros((4, 2))
+    delta[0, 0] = product
+    return delta_q_first_order(np.eye(4, 2), delta)
+
+
+NORMWISE = "||delta||_2 ||pinv(a)||_2"
+
+
+@pytest.mark.parametrize(
+    ("evaluate", "limit", "strict", "needs"),
+    [
+        (lambda p: bound_t2(np.array([0.5]), stats_of(), metrics_of(eps_two=p, m=1)),
+         0.5, False, f"T2 needs {NORMWISE} <= 0.5"),
+        (lambda p: bound_t3_1(np.array([0.5]), stats_of(), metrics_of(eps_two=p, m=1)),
+         0.5, False, f"T3_1 needs {NORMWISE} <= 0.5"),
+        (lambda p: bound_t3_3(stats_of(), metrics_of(eps_two=p, m=1)),
+         0.5, False, f"T3_3 needs {NORMWISE} <= 0.5"),
+        (lambda p: bound_t3_2(stats_of(), metrics_of(eps_two=p, m=1)),
+         1.0, True, f"T3_2 needs {NORMWISE} < 1.0"),
+        (lambda p: bound_t3_4(np.full(3, p / 2), 25, kappa2=2.0),
+         1.0, True, "T3_4 needs max(eta) * kappa2 < 1"),
+        (_first_order_at, 1.0, True, f"first-order prediction needs {NORMWISE} < 1"),
+    ],
+    ids=["T2", "T3_1", "T3_3", "T3_2", "T3_4", "first-order"],
+)
+def test_hypothesis_at_its_limit(evaluate, limit, strict, needs):
+    # Each product is exact: kappa2 = 1 (2 for T3_4), so it is the
+    # eps_two, 2 max(eta) or ||delta||_2 passed in.
+    evaluate(np.nextafter(limit, 0.0))
+    first_failing = limit if strict else np.nextafter(limit, 2.0)
+    if not strict:
+        evaluate(limit)
+    with pytest.raises(HypothesisError) as excinfo:
+        evaluate(first_failing)
+    assert str(excinfo.value) == f"{needs}, got {first_failing:.3e}"
+
+
 class TestRdotRinv:
     def test_identity_direction(self):
         # delta equal to the matrix itself: q.T delta r**-1 is the
         # identity, eps_f is 1, and the result is the identity.
         a = gaussian_matrix(12, 4, 3)
         rr = rdot_rinv(a, a)
-        np.testing.assert_allclose(rr.matrix, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(rr, np.eye(4), atol=1e-12)
 
     def test_symmetric_part_identity(self):
         a = gaussian_matrix(15, 5, 4)
@@ -370,13 +434,13 @@ class TestRdotRinv:
         eps_f = np.linalg.norm(delta) / np.linalg.norm(a)
         c = solve_upper(r, (q.T @ delta).T, transpose=True).T
         np.testing.assert_allclose(
-            rr.matrix + rr.matrix.T, (c + c.T) / eps_f, atol=1e-10
+            rr + rr.T, (c + c.T) / eps_f, atol=1e-10
         )
 
     def test_strictly_lower_exactly_zero(self):
         a = gaussian_matrix(10, 4, 6)
         rr = rdot_rinv(a, gaussian_matrix(10, 4, 7))
-        assert np.array_equal(np.tril(rr.matrix, -1), np.zeros((4, 4)))
+        assert np.array_equal(np.tril(rr, -1), np.zeros((4, 4)))
 
     def test_norm_bound(self):
         rng = np.random.default_rng(91)
@@ -388,13 +452,13 @@ class TestRdotRinv:
             rr = rdot_rinv(a, delta)
             stats = matrix_stats(a)
             limit = np.sqrt(2.0 * stats.stable_rank) * stats.kappa2
-            assert rr.fro_norm <= limit * (1.0 + 1e-10)
+            assert np.linalg.norm(rr, "fro") <= limit * (1.0 + 1e-10)
 
     def test_finite_difference_convergence(self):
         a = randsvd_matrix(20, 5, 10.0, 8)
         direction = gaussian_matrix(20, 5, 9)
         direction *= np.linalg.norm(a) / np.linalg.norm(direction)
-        formula = rdot_rinv(a, direction).matrix  # eps_f == 1
+        formula = rdot_rinv(a, direction)  # eps_f == 1
         r0 = householder_qr(a).r
 
         def fd_err(t):
@@ -476,8 +540,8 @@ class TestDeltaQFirstOrder:
             delta = eps * direction
             rr, pred = formula(a, delta)
             counts.clear()
-            assert rdot_rinv(a, delta).matrix.tobytes() == rr.tobytes()
+            assert rdot_rinv(a, delta).tobytes() == rr.tobytes()
             assert delta_q_first_order(a, delta).tobytes() == pred.tobytes()
             assert counts == {"full_rank_qr": 2, "solve_upper": 3}
         rr, _ = formula(a, direction)
-        assert rdot_rinv(a, direction).matrix.tobytes() == rr.tobytes()
+        assert rdot_rinv(a, direction).tobytes() == rr.tobytes()

@@ -11,7 +11,7 @@ from qrlev.generate import (
     stepped_gaussian,
     stepped_illconditioned,
     stepped_orthonormal,
-    stepped_orthonormal_spec,
+    stepped_spec,
 )
 from qrlev.leverage import leverage_from_basis, leverage_qr, matrix_stats
 from qrlev.linalg import gram_residual, jacobi_svd
@@ -121,7 +121,7 @@ class TestSteppedMatrices:
 class TestGenSpec:
     def test_generate_matches_helper(self):
         np.testing.assert_array_equal(
-            generate(stepped_orthonormal_spec(), 42), stepped_orthonormal(42)
+            generate(stepped_spec("orthonormal"), 42), stepped_orthonormal(42)
         )
 
     def test_block_sum_validated(self):

@@ -8,6 +8,8 @@ from qrlev.generate import (
     stepped_orthonormal,
 )
 from qrlev.leverage import (
+    RANK_TOL_FACTOR,
+    full_rank_qr,
     leverage_from_basis,
     leverage_qr,
     leverage_svd,
@@ -82,6 +84,54 @@ class TestLeverageQR:
             leverage_qr(np.ones((2, 4)))
 
 
+class TestEdgeShapes:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        ("m", "n"), [(1, 1), (7, 1), (6, 6), (25, 25), (12, 6), (50, 25)]
+    )
+    def test_unit_interval_and_sum(self, m, n, seed):
+        # n = 1, m = n and m = 2n. A square input's scores are all 1 up
+        # to a few ulps, so the upper end keeps criterion 1's allowance.
+        lev = leverage_qr(np.random.default_rng(seed).standard_normal((m, n)))
+        assert np.all(lev >= 0.0)
+        assert np.all(lev <= 1.0 + 1e-13)
+        assert abs(lev.sum() - n) <= 1e-12 * n
+
+    @pytest.mark.parametrize("exponent", [-700, -660, 660, 700])
+    @pytest.mark.parametrize("shape", [(7, 1), (6, 6), (10, 5), (1000, 25)])
+    def test_power_of_two_scaling_is_bitwise_invisible(self, shape, exponent):
+        # Entries near 1e-211 .. 1e+211: squares under- or overflow
+        # unless every kernel scales its input first.
+        a = np.random.default_rng(1).standard_normal(shape)
+        scaled = leverage_qr(np.ldexp(a, exponent))
+        assert scaled.tobytes() == leverage_qr(a).tobytes()
+
+    @pytest.mark.parametrize("row", [3, 6, 9])
+    def test_zero_row_below_n_scores_exactly_zero(self, row):
+        a = np.random.default_rng(0).standard_normal((10, 3))
+        a[row] = 0.0
+        assert leverage_qr(a)[row] == 0.0
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_zero_row_among_first_n_scores_at_round_off(self, row):
+        # The Householder reflectors mix the first n rows, so the score
+        # is round-off (about 5e-32 here), not an exact zero.
+        a = np.random.default_rng(0).standard_normal((10, 3))
+        a[row] = 0.0
+        assert 0.0 <= leverage_qr(a)[row] <= 1e-30
+
+    @pytest.mark.parametrize(("factor", "full_rank"), [(0.5, False), (2.0, True)])
+    def test_rank_threshold(self, factor, full_rank):
+        m = 40
+        a = np.zeros((m, 3))
+        a[:3, :3] = np.diag([1.0, 1.0, factor * RANK_TOL_FACTOR * m])
+        if full_rank:
+            full_rank_qr(a)
+        else:
+            with pytest.raises(RankDeficiencyError):
+                full_rank_qr(a)
+
+
 class TestLeverageSVD:
     def test_orthonormal_input(self):
         lev = leverage_svd(CROSS)
@@ -137,10 +187,8 @@ class TestMatrixStats:
             stats = matrix_stats(a)
             assert stats.kappa2 >= 1.0 - 1e-13
             assert stats.stable_rank <= n + 1e-12
-            assert stats.two_norm > 0
-            assert stats.kappa2 == pytest.approx(
-                stats.two_norm / stats.sigma_min
-            )
+            sigma = np.linalg.svd(a, compute_uv=False)
+            assert stats.kappa2 == pytest.approx(sigma[0] / sigma[-1])
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficiencyError):
