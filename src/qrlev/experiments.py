@@ -192,6 +192,10 @@ def run_fig3(seed):
         metrics = measure(a, delta)
         lev_tilde = leverage_qr(a + delta)
         report = bound_t3_1(lev, stats, metrics)
+        logger.info(
+            "fig3 panel %s: kappa2 %.3e, eps_fro %.3e",
+            panel, stats.kappa2, metrics.eps_fro,
+        )
         panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
     return panels
 
@@ -219,6 +223,10 @@ def fig4_panels(seed, bounds):
     for panel, delta in deltas:
         metrics = measure(a, delta)
         lev_tilde = leverage_qr(a + delta)
+        logger.info(
+            "fig4 panel %s: eps_fro %.3e, max eps_row %.3e",
+            panel, metrics.eps_fro, np.nanmax(metrics.eps_row),
+        )
         for panels, bound in zip(per_bound, bounds):
             report = bound(stats, metrics)
             panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
@@ -245,6 +253,10 @@ def run_fig5(seed):
         delta = componentwise_row_perturbation(mat, eta, rng)
         lev_tilde = leverage_qr(mat + delta)
         report = bound_t3_4(eta, mat.shape[1], kappa2=stats.kappa2)
+        logger.info(
+            "fig5 panel %s: kappa2 %.3e, max(eta) * kappa2 %.3e",
+            panel, stats.kappa2, eta.max() * stats.kappa2,
+        )
         panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
     return panels
 

@@ -5,12 +5,13 @@ statistics (condition number, stable rank) that drive every bound.
 The leverage score of row j is the squared two-norm of row j of any
 orthonormal basis for the column space. Scores lie in [0, 1] and sum
 to the column count. leverage_qr, leverage_svd and matrix_stats all go
-through full_rank_qr: one Householder QR a = q r, one Jacobi SVD of r
-and one rank check. The QR route reads the scores from q, the SVD route
-from the left singular vectors q @ u_r, and matrix_stats reads the
-singular values of r, which are those of a. The SVD route shares the
-QR, so its agreement with the QR route checks the Jacobi step, not the
-range of Q.
+through full_rank_qr: one Householder QR a = q r, one SVD of r by
+LAPACK's one-sided Jacobi dgejsv (linalg.jacobi_svd) and one rank
+check. The QR route reads the scores from q, the SVD route from the
+left singular vectors q @ u_r, and matrix_stats reads the singular
+values of r, which are those of a. The SVD route shares the QR, so its
+agreement with the QR route checks the dgejsv step, not the range of
+Q.
 """
 
 from dataclasses import dataclass
@@ -54,9 +55,11 @@ def full_rank_qr(a):
     """
     Householder QR of an m x n matrix, m >= n, checked for full rank
     through the singular values of r. Returns (q, r, svd_r), where
-    svd_r is the full Jacobi SvdResult of r, so q @ svd_r.u holds the
-    left singular vectors of a; rank deficiency raises
-    RankDeficiencyError carrying the sigma_min/sigma_max ratio.
+    svd_r is jacobi_svd's SvdResult of r (LAPACK dgejsv on the n x n
+    factor), so q @ svd_r.u holds the left singular vectors of a; rank
+    deficiency raises RankDeficiencyError carrying the
+    sigma_min/sigma_max ratio, and a nonzero dgejsv info raises
+    ConvergenceError.
     """
     a = as_matrix(a, "a")
     m, n = a.shape

@@ -2,6 +2,12 @@
 Dense linear-algebra kernels: Householder QR, one-sided Jacobi SVD,
 norms, projector application, and triangular half-splitting.
 
+The SVD's n x n step runs in LAPACK's dgejsv, the preconditioned
+one-sided Jacobi SVD of Drmač and Veselić; a nonzero info from it
+raises ConvergenceError. The pure-Python one-sided Jacobi kernel
+(_jacobi_kernel, with _complete_basis) stays as the tests' independent
+oracle for that step; no production path calls it.
+
 All functions are pure: inputs are never mutated, outputs are fresh
 arrays. Matrices are plain float64 2-d numpy arrays throughout.
 """
@@ -11,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgejsv
 
 # Gram residual allowed for a matrix to count as orthonormal, relative
 # to the column count.
@@ -21,8 +28,8 @@ ORTH_TOL = 1e-13
 # guarantee so externally produced bases pass.
 BASIS_TOL = 1e-10
 
-# One-sided Jacobi: relative threshold on off-diagonal Gram entries,
-# and the hard sweep limit before giving up.
+# The oracle kernel's relative threshold on off-diagonal Gram entries,
+# and its hard sweep limit before giving up.
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 30
 
@@ -164,7 +171,8 @@ def _jacobi_workspace(a):
 
 def _jacobi_kernel(a):
     """
-    One-sided Jacobi sweeps on a matrix with m >= n columns.
+    One-sided Jacobi sweeps on a matrix with m >= n columns: the test
+    oracle for jacobi_svd's dgejsv step, called by no production path.
 
     Rotations are chosen to zero the off-diagonal Gram entries
     u[:, p] . u[:, q]; a pair is skipped once its entry falls below
@@ -272,6 +280,24 @@ def _complete_basis(u, missing):
     return u
 
 
+def _dgejsv(a):
+    """
+    LAPACK's preconditioned one-sided Jacobi SVD of a square matrix:
+    n left vectors, sigma and v. dgejsv returns sigma as sva scaled by
+    work[0] / work[1]; a nonzero info raises ConvergenceError. It
+    returns U = I with sigma = 0 on a zero matrix and completes U on
+    rank-deficient inputs.
+    """
+    # JOBA 'E': accurate for column-scaled inputs; JOBU 'U', JOBV 'V':
+    # n vectors each; JOBR 'R': restricted range; JOBT, JOBP 'N'.
+    sva, u, v, work, _, info = dgejsv(
+        a, joba=1, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0
+    )
+    if info != 0:
+        raise ConvergenceError(f"dgejsv failed with info = {info}")
+    return u, sva * (work[0] / work[1]), v
+
+
 def jacobi_svd(a):
     """
     Singular value decomposition by one-sided Jacobi rotations.
@@ -290,10 +316,12 @@ def jacobi_svd(a):
 
     Notes
     -----
-    Tall matrices are first reduced by Householder QR and the Jacobi
-    sweeps run on the triangular factor, keeping the kernel n x n.
-    Non-convergence after the sweep limit raises ConvergenceError
-    rather than returning a silently inaccurate result.
+    Tall matrices are first reduced by Householder QR and the SVD of
+    the triangular factor runs in LAPACK's dgejsv, keeping that step
+    n x n; dgejsv is the preconditioned one-sided Jacobi method, so
+    sigma keeps Jacobi's relative accuracy. A nonzero info from dgejsv
+    raises ConvergenceError rather than returning a silently
+    inaccurate result.
     """
     a = as_matrix(a, "a")
     exponent = _range_exponent(a)
@@ -306,9 +334,9 @@ def jacobi_svd(a):
         return SvdResult(res.v, res.sigma, res.u)
     if m > n:
         q, r = householder_qr(a)
-        u_r, sigma, v = _jacobi_kernel(r)
+        u_r, sigma, v = _dgejsv(r)
         return SvdResult(q @ u_r, sigma, v)
-    u, sigma, v = _jacobi_kernel(a)
+    u, sigma, v = _dgejsv(a)
     return SvdResult(u, sigma, v)
 
 

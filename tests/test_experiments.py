@@ -118,10 +118,22 @@ class TestFig2:
 
 class TestOtherFigures:
     @pytest.mark.parametrize("figure", ["fig3", "fig4", "fig5"])
-    def test_runs_and_verifies(self, figure):
+    def test_runs_and_verifies(self, figure, caplog):
+        # Each panel logs values the runner already computed.
+        logged = {
+            "fig3": "kappa2 1.000e+00, eps_fro 1.000e-08",
+            "fig4": "eps_fro 1.000e-08, max eps_row",
+            "fig5": "kappa2 1.073e+06, max(eta) * kappa2 1.073e-02",
+        }[figure]
+        caplog.set_level("INFO", logger="qrlev.experiments")
         panels = FIGURE_RUNNERS[figure](SEED)
         assert set(by_name(panels)) == {"a", "b"}
         verify_rows(panels)
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line.split(":")[0] for line in lines] == [
+            f"{figure} panel a", f"{figure} panel b"
+        ]
+        assert any(logged in line for line in lines), lines
 
     def test_fig4_local_and_global_effects(self):
         panels = by_name(run_fig4(SEED))
@@ -283,24 +295,29 @@ class TestRunFigure:
         _usable_cpus() < 2 or os.environ.get("OPENBLAS_NUM_THREADS") == "1",
         reason="OpenBLAS already runs one thread here",
     )
-    @pytest.mark.xfail(
-        strict=True,
-        reason="figure bytes depend on the BLAS thread count: "
-        "same_row_scaling_perturbation divides by np.linalg.norm(a1, 'fro'), "
-        "a BLAS dot over 25 000 entries whose last bit changes with the "
-        "thread count, so Delta A differs and with it eps_row, eps_fro and "
-        "the bound column of panel b; demos/out was written at 2 threads",
-    )
-    def test_fig4_at_one_blas_thread_matches_committed_demos_out(self, tmp_path):
+    @pytest.mark.parametrize("figure", [
+        "fig1", "fig2", "fig3",
+        pytest.param("fig4", marks=pytest.mark.xfail(
+            strict=True,
+            reason="figure bytes depend on the BLAS thread count: "
+            "same_row_scaling_perturbation divides by np.linalg.norm(a1, 'fro'), "
+            "a BLAS dot over 25 000 entries whose last bit changes with the "
+            "thread count, so Delta A differs and with it eps_row, eps_fro and "
+            "the bound column of panel b; demos/out was written at 2 threads",
+        )),
+        "fig5",
+    ])
+    def test_one_blas_thread_matches_committed_demos_out(self, tmp_path, figure):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run(
-            [sys.executable, "-m", "qrlev.cli", "figure", "4",
+            [sys.executable, "-m", "qrlev.cli", "figure", figure[3:],
              "--seed", str(SEED), "--out", str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        got = (tmp_path / "fig4.csv").read_bytes()
-        assert got == (GOLDEN_DIR / "fig4.csv").read_bytes()
+        for suffix in (".csv", ".svg"):
+            name = figure + suffix
+            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
     def test_deterministic_bytes(self, tmp_path):
         blobs = []

@@ -97,6 +97,17 @@ class TestEdgeShapes:
         assert np.all(lev <= 1.0 + 1e-13)
         assert abs(lev.sum() - n) <= 1e-12 * n
 
+    @pytest.mark.parametrize("n", range(2, 26))
+    def test_square_scores_exceed_one_by_at_most_n_eps(self, n):
+        # Every exact score of a square full-rank matrix is 1; the
+        # computed ones overshoot by round-off only (worst seen:
+        # 1 + 4 eps at n = 4, 1 + 8.9e-16 at n = 25).
+        eps = np.finfo(np.float64).eps
+        for seed in range(5):
+            lev = leverage_qr(np.random.default_rng(seed).standard_normal((n, n)))
+            assert np.all(lev >= 0.0)
+            assert np.all(lev <= 1.0 + n * eps), (seed, lev.max() - 1.0)
+
     @pytest.mark.parametrize("exponent", [-700, -660, 660, 700])
     @pytest.mark.parametrize("shape", [(7, 1), (6, 6), (10, 5), (1000, 25)])
     def test_power_of_two_scaling_is_bitwise_invisible(self, shape, exponent):

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from qrlev import linalg
-from qrlev.generate import random_orthonormal, randsvd_matrix, stepped_gaussian
+from qrlev.angles import principal_angles
+from qrlev.experiments import ExperimentConfig, run_figure
+from qrlev.generate import (
+    random_orthonormal,
+    randsvd_matrix,
+    stepped_gaussian,
+    stepped_illconditioned,
+    stepped_orthonormal,
+)
+from qrlev.leverage import leverage_svd, matrix_stats
 from qrlev.linalg import (
     ConvergenceError,
     as_matrix,
@@ -13,6 +22,7 @@ from qrlev.linalg import (
     triu_half,
     two_norm,
 )
+from qrlev.perturb import measure
 
 # 4 x 2 matrix with orthonormal columns and equal leverage scores 1/2;
 # also the base matrix of the projected-row counterexample.
@@ -444,8 +454,78 @@ def test_gram_matrix_is_bitwise_symmetric_in_the_kernel_layout(name):
 
 def test_jacobi_convergence_error_at_sweep_limit(monkeypatch):
     # The limit is read at call time; one sweep cannot diagonalize the
-    # Gram matrix of a 25 x 25 Gaussian.
+    # Gram matrix of a 25 x 25 Gaussian. jacobi_svd no longer sweeps,
+    # so the oracle kernel is called directly.
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     a = np.random.default_rng(8).standard_normal((25, 25))
     with pytest.raises(ConvergenceError, match="1 sweeps"):
-        jacobi_svd(a)
+        linalg._jacobi_kernel(a)
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(31)
+    cases = {
+        "stepped orthonormal": stepped_orthonormal(rng),
+        "stepped ill-conditioned": stepped_illconditioned(rng),
+        "n=1 tall": rng.standard_normal((7, 1)),
+        "n=1 square": rng.standard_normal((1, 1)),
+        "zero square": np.zeros((4, 4)),
+        "zero tall": np.zeros((6, 3)),
+    }
+    # Columns graded 1 to 1e-12: kappa2 about 1e12.
+    for m, n in ((40, 8), (100, 25), (25, 25)):
+        cases[f"columns graded {m} x {n}"] = (
+            rng.standard_normal((m, n)) * np.logspace(0, -12, n)
+        )
+    for n in range(2, 13):
+        a = rng.standard_normal((n, n))
+        a[:, rng.integers(n)] = 0.0
+        cases[f"rank-deficient square n={n}"] = a
+    return cases
+
+
+ORACLE_INPUTS = _oracle_inputs()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+def test_dgejsv_sigma_agrees_with_the_jacobi_kernel(name):
+    # The Python kernel on the same R is the oracle for the LAPACK step;
+    # both are one-sided Jacobi methods, so sigma agrees to a relative
+    # 4 n eps, and an exactly zero sigma is exactly zero in both.
+    a = ORACLE_INPUTS[name]
+    m, n = a.shape
+    r = householder_qr(a).r if m > n else a
+    got = jacobi_svd(a).sigma
+    want = linalg._jacobi_kernel(r.copy())[1]
+    tol = 4 * n * np.finfo(np.float64).eps
+    assert np.all(np.abs(got - want) <= tol * want), (
+        f"sigma differs on {name}: {got} vs {want}"
+    )
+
+
+def test_dgejsv_info_raises_convergence_error(monkeypatch):
+    def failing(a, **kwargs):
+        n = a.shape[1]
+        return np.ones(n), np.eye(n), np.eye(n), np.ones(7), np.zeros(3), 1
+
+    monkeypatch.setattr(linalg, "dgejsv", failing)
+    with pytest.raises(ConvergenceError, match="info = 1"):
+        jacobi_svd(np.random.default_rng(8).standard_normal((10, 4)))
+
+
+def test_no_production_path_runs_the_python_kernel(monkeypatch):
+    # The pure-Python kernel is the tests' oracle only; the SVDs of the
+    # figure, statistics, perturbation and angle paths run in dgejsv.
+    def forbidden(a):
+        raise AssertionError("the Python Jacobi kernel ran on a production path")
+
+    monkeypatch.setattr(linalg, "_jacobi_kernel", forbidden)
+    run_figure(ExperimentConfig(figure="fig2", seed=42), emit=False)
+    rng = np.random.default_rng(3)
+    a = stepped_illconditioned(rng)
+    delta = 1e-8 * rng.standard_normal(a.shape)
+    matrix_stats(a)
+    measure(a, delta)
+    leverage_svd(a)
+    q = householder_qr(a).q
+    principal_angles(q, householder_qr(a + delta).q)
