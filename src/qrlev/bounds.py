@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leverage import full_rank_qr, relative_diffs
-from .linalg import as_matrix, solve_upper, triu_half, two_norm
+from .linalg import as_matrix, fro_norm, solve_upper, triu_half, two_norm
 
 FIRST_ORDER_TAGS = ("T3_2", "T3_3", "T3_4")
 
@@ -321,7 +321,7 @@ def rdot_rinv(a, delta):
     delta = as_matrix(delta, "delta")
     if a.shape != delta.shape:
         raise ValueError("a and delta must have equal shapes")
-    eps_f = float(np.linalg.norm(delta, "fro")) / float(np.linalg.norm(a, "fro"))
+    eps_f = fro_norm(delta) / fro_norm(a)
     if eps_f == 0.0:
         raise ValueError("delta must be nonzero")
     q, r, _ = full_rank_qr(a)
@@ -346,7 +346,7 @@ def delta_q_first_order(a, delta):
     _check_hypothesis(
         two_norm(delta) / float(svd_r.sigma[-1]), 1, True, "first-order prediction"
     )
-    eps_f = float(np.linalg.norm(delta, "fro")) / float(np.linalg.norm(a, "fro"))
+    eps_f = fro_norm(delta) / fro_norm(a)
     rr = _rdot_rinv_matrix(q, r, delta, eps_f)
     return solve_upper(r, delta.T, transpose=True).T - eps_f * (q @ rr)
 

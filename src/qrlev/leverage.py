@@ -23,6 +23,7 @@ from .linalg import (
     RankDeficiencyError,
     as_matrix,
     check_orthonormal,
+    fro_norm,
     householder_qr,
     jacobi_svd,
 )
@@ -112,7 +113,7 @@ def matrix_stats(a):
     a = as_matrix(a, "a")
     sigma = full_rank_qr(a)[2].sigma
     two = float(sigma[0])
-    fro = float(np.linalg.norm(a, "fro"))
+    fro = fro_norm(a)
     return MatrixStats(kappa2=two / float(sigma[-1]), stable_rank=fro**2 / two**2)
 
 

@@ -2,6 +2,10 @@
 Dense linear-algebra kernels: Householder QR, one-sided Jacobi SVD,
 norms, projector application, and triangular half-splitting.
 
+The QR runs in numpy's LAPACK (dgeqrf and dorgqr through
+np.linalg.qr), in the same OpenBLAS thread pool as numpy's matrix
+products, with its signs normalized so that diag(r) >= 0.
+
 The SVD's n x n step runs in LAPACK's dgejsv, the preconditioned
 one-sided Jacobi SVD of Drmač and Veselić; a nonzero info from it
 raises ConvergenceError. The pure-Python one-sided Jacobi kernel
@@ -76,6 +80,15 @@ def gram_residual(q):
     return float(np.linalg.norm(q.T @ q - np.eye(n), "fro"))
 
 
+def fro_norm(x):
+    """
+    Frobenius norm by numpy's pairwise sum of the squared entries. It
+    does not depend on the BLAS thread count, where np.linalg.norm's
+    dot product does on long inputs.
+    """
+    return float(np.sqrt(np.add.reduce((x * x).ravel())))
+
+
 def check_orthonormal(q, tol, name="q"):
     q = as_matrix(q, name)
     res = gram_residual(q)
@@ -100,7 +113,7 @@ def _range_exponent(a):
 
 def householder_qr(a):
     """
-    Thin QR decomposition via Householder reflections.
+    Thin QR decomposition via Householder reflections, in LAPACK.
 
     Parameters
     ----------
@@ -116,10 +129,13 @@ def householder_qr(a):
 
     Notes
     -----
-    Column signs are normalized so that diag(r) >= 0, which makes the
-    factorization of a full-rank matrix unique and runs reproducible.
-    Rank deficiency is not an error here; it surfaces downstream via
-    singular values of r.
+    np.linalg.qr runs LAPACK's dgeqrf and dorgqr, the blocked form of
+    the same Householder algorithm, so its row-wise backward error
+    analysis (Higham, Accuracy and Stability, ch. 19; Cox and Higham
+    1998) holds. Column signs are then normalized so that
+    diag(r) >= 0, which makes the factorization of a full-rank matrix
+    unique; the sign flips are exact. Rank deficiency is not an error
+    here; it surfaces downstream via singular values of r.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
@@ -131,35 +147,9 @@ def householder_qr(a):
         q, r = householder_qr(np.ldexp(a, -exponent))
         return ThinQR(q, np.ldexp(r, exponent))
 
-    r = a.copy()
-    # Unit reflector vectors, padded with leading zeros to length m.
-    ws = np.zeros((n, m))
-    for k in range(n):
-        x = r[k:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue  # zero column: no reflection needed
-        alpha = -norm_x if x[0] >= 0 else norm_x
-        v = x.copy()
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        ws[k, k:] = v
-        r[k:, k:] -= 2.0 * (v[:, None] * (v @ r[k:, k:]))
-        r[k, k] = alpha
-        r[k + 1:, k] = 0.0
-
-    q = np.zeros((m, n))
-    q[:n, :n] = np.eye(n)
-    for k in range(n - 1, -1, -1):
-        v = ws[k, k:]
-        if v.any():
-            q[k:, :] -= 2.0 * (v[:, None] * (v @ q[k:, :]))
-
-    r = r[:n, :]
+    q, r = np.linalg.qr(a)
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q = q * signs
-    r = r * signs[:, None]
-    return ThinQR(q, np.triu(r))
+    return ThinQR(q * signs, r * signs[:, None])
 
 
 def _jacobi_workspace(a):

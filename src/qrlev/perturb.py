@@ -35,6 +35,7 @@ from .linalg import (
     BASIS_TOL,
     as_matrix,
     check_orthonormal,
+    fro_norm,
     householder_qr,
     project_complement,
     two_norm,
@@ -112,7 +113,7 @@ def normwise_perturbation(a, eps, norm, rng):
     g = make_rng(rng).standard_normal(a.shape)
     if norm == "two":
         return eps * two_norm(a) * g / two_norm(g)
-    return eps * np.linalg.norm(a, "fro") * g / np.linalg.norm(g, "fro")
+    return eps * fro_norm(a) * g / fro_norm(g)
 
 
 def row_subset_perturbation(a, row_start, row_stop, eps_f, rng):
@@ -134,7 +135,7 @@ def row_subset_perturbation(a, row_start, row_stop, eps_f, rng):
         return delta
     g = make_rng(rng).standard_normal((row_stop - row_start, a.shape[1]))
     delta[row_start:row_stop] = g
-    delta *= eps_f * np.linalg.norm(a, "fro") / np.linalg.norm(delta, "fro")
+    delta *= eps_f * fro_norm(a) / fro_norm(delta)
     return delta
 
 
@@ -148,7 +149,7 @@ def same_row_scaling_perturbation(a1, eps_f):
     a1 = as_matrix(a1, "a1")
     if eps_f < 0:
         raise ValueError("eps_f must be nonnegative")
-    norm = np.linalg.norm(a1, "fro")
+    norm = fro_norm(a1)
     if norm == 0.0:
         raise ValueError("a1 must be nonzero")
     return eps_f * a1 / norm
@@ -237,7 +238,7 @@ def measure(a, delta):
     q, _, svd_r = full_rank_qr(a)
 
     a_two = float(svd_r.sigma[0])
-    a_fro = float(np.linalg.norm(a, "fro"))
+    a_fro = fro_norm(a)
     perp = project_complement(q, delta)
 
     a_rows = np.linalg.norm(a, axis=1)
@@ -251,9 +252,9 @@ def measure(a, delta):
 
     return PerturbationMetrics(
         eps_two=two_norm(delta) / a_two,
-        eps_fro=float(np.linalg.norm(delta, "fro")) / a_fro,
+        eps_fro=fro_norm(delta) / a_fro,
         eps_two_perp=two_norm(perp) / a_two,
-        eps_fro_perp=float(np.linalg.norm(perp, "fro")) / a_fro,
+        eps_fro_perp=fro_norm(perp) / a_fro,
         eps_row=eps_row,
         eps_row_perp=eps_row_perp,
     )

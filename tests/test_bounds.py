@@ -27,7 +27,7 @@ from qrlev.bounds import (
 )
 from qrlev.generate import gaussian_matrix, random_orthonormal, randsvd_matrix
 from qrlev.leverage import MatrixStats, full_rank_qr, leverage_from_basis, matrix_stats
-from qrlev.linalg import householder_qr, project_complement, solve_upper, triu_half
+from qrlev.linalg import fro_norm, householder_qr, project_complement, solve_upper, triu_half
 from qrlev.perturb import PerturbationMetrics, measure, normwise_perturbation
 
 
@@ -519,7 +519,7 @@ class TestDeltaQFirstOrder:
         # same number of factorizations and triangular solves.
         def formula(a, delta):
             q, r, _ = full_rank_qr(a)
-            eps_f = float(np.linalg.norm(delta, "fro")) / float(np.linalg.norm(a, "fro"))
+            eps_f = fro_norm(delta) / fro_norm(a)
             c = solve_upper(r, (q.T @ delta).T, transpose=True).T
             rr = triu_half(c + c.T) / eps_f
             return rr, solve_upper(r, delta.T, transpose=True).T - eps_f * (q @ rr)

@@ -295,18 +295,7 @@ class TestRunFigure:
         _usable_cpus() < 2 or os.environ.get("OPENBLAS_NUM_THREADS") == "1",
         reason="OpenBLAS already runs one thread here",
     )
-    @pytest.mark.parametrize("figure", [
-        "fig1", "fig2", "fig3",
-        pytest.param("fig4", marks=pytest.mark.xfail(
-            strict=True,
-            reason="figure bytes depend on the BLAS thread count: "
-            "same_row_scaling_perturbation divides by np.linalg.norm(a1, 'fro'), "
-            "a BLAS dot over 25 000 entries whose last bit changes with the "
-            "thread count, so Delta A differs and with it eps_row, eps_fro and "
-            "the bound column of panel b; demos/out was written at 2 threads",
-        )),
-        "fig5",
-    ])
+    @pytest.mark.parametrize("figure", FIGURES)
     def test_one_blas_thread_matches_committed_demos_out(self, tmp_path, figure):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run(

@@ -126,7 +126,7 @@ class TestEdgeShapes:
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_zero_row_among_first_n_scores_at_round_off(self, row):
         # The Householder reflectors mix the first n rows, so the score
-        # is round-off (about 5e-32 here), not an exact zero.
+        # is round-off (up to about 5e-32 here), not an exact zero.
         a = np.random.default_rng(0).standard_normal((10, 3))
         a[row] = 0.0
         assert 0.0 <= leverage_qr(a)[row] <= 1e-30
