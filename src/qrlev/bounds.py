@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leverage import full_rank_qr, relative_diffs
-from .linalg import as_matrix, fro_norm, solve_upper, triu_half, two_norm
+from .leverage import full_rank_qr
+from .linalg import as_matrix, fro_norm, safe_ratio, solve_upper, triu_half, two_norm
 
 FIRST_ORDER_TAGS = ("T3_2", "T3_3", "T3_4")
 
@@ -73,9 +73,15 @@ def observed(theorem, lev, lev_tilde):
     for T1_abs, and |lev_tilde - lev| / lev (NaN where lev <= 0) for
     every other tag.
     """
-    if theorem == "T1_abs":
-        return np.abs(np.subtract(lev_tilde, lev))
-    return relative_diffs(lev, lev_tilde)
+    lev = np.asarray(lev, dtype=np.float64)
+    lev_tilde = np.asarray(lev_tilde, dtype=np.float64)
+    if lev.shape != lev_tilde.shape:
+        raise ValueError(
+            f"length mismatch: lev has shape {lev.shape}, "
+            f"lev_tilde has shape {lev_tilde.shape}"
+        )
+    diff = np.abs(lev_tilde - lev)
+    return diff if theorem == "T1_abs" else safe_ratio(diff, lev)
 
 
 def check_policy(observed, bound, theorem):
@@ -132,14 +138,6 @@ def _as_scores(lev):
     return lev
 
 
-def _safe_ratio(num, lev):
-    """num / lev with NaN where lev <= 0."""
-    out = np.full(lev.shape, np.nan)
-    pos = lev > 0.0
-    out[pos] = num[pos] / lev[pos] if isinstance(num, np.ndarray) else num / lev[pos]
-    return out
-
-
 def bound_t1(lev, angles):
     """
     Absolute-difference bound from principal angles:
@@ -185,8 +183,8 @@ def bound_c1(lev, angles):
     c1 = angles.cos_theta_min
     sn = angles.sin_theta_max
     clipped = np.clip(lev, 0.0, 1.0)
-    term1 = 2.0 * np.sqrt(_safe_ratio(1.0 - clipped, clipped)) * c1 * sn
-    bound = term1 + _safe_ratio(sn**2, clipped)
+    term1 = 2.0 * np.sqrt(safe_ratio(1.0 - clipped, clipped)) * c1 * sn
+    bound = term1 + safe_ratio(sn**2, clipped)
     return BoundReport(theorem="C1_rel", per_index_bound=bound)
 
 
@@ -216,12 +214,12 @@ def bound_t2(lev, stats, metrics):
     kappa = stats.kappa2
     _check_hypothesis(metrics.eps_two * kappa, 0.5, False, "T2")
     clipped = np.clip(lev, 0.0, 1.0)
-    ratio = np.sqrt(_safe_ratio(1.0 - clipped, clipped))
+    ratio = np.sqrt(safe_ratio(1.0 - clipped, clipped))
 
     ke_perp = kappa * metrics.eps_two_perp
-    proj = 4.0 * (ratio + _safe_ratio(ke_perp, clipped)) * ke_perp
+    proj = 4.0 * (ratio + safe_ratio(ke_perp, clipped)) * ke_perp
     ke = kappa * metrics.eps_two
-    gen = (2.0 * ratio + _safe_ratio(ke, clipped)) * ke
+    gen = (2.0 * ratio + safe_ratio(ke, clipped)) * ke
 
     return (
         BoundReport(theorem="T2_perp", per_index_bound=proj),
@@ -242,8 +240,8 @@ def bound_t3_1(lev, stats, metrics):
     _check_hypothesis(metrics.eps_two * kappa, 0.5, False, "T3_1")
     clipped = np.clip(lev, 0.0, 1.0)
     kse = kappa * np.sqrt(stats.stable_rank) * metrics.eps_fro
-    ratio = np.sqrt(_safe_ratio(1.0 - clipped, clipped))
-    bound = 12.0 * (ratio + _safe_ratio(3.0 * kse, clipped)) * kse
+    ratio = np.sqrt(safe_ratio(1.0 - clipped, clipped))
+    bound = 12.0 * (ratio + safe_ratio(3.0 * kse, clipped)) * kse
     return BoundReport(theorem="T3_1", per_index_bound=bound)
 
 

@@ -180,7 +180,7 @@ def _componentwise_eta(a, delta):
             "delta perturbs zero entries of the matrix; not a componentwise "
             "row-scaled perturbation"
         )
-    ratio = np.where(scale > 0, np.abs(delta) / np.maximum(scale, 1e-300), 0.0)
+    ratio = np.divide(np.abs(delta), scale, out=np.zeros_like(scale), where=scale > 0)
     return ratio.max(axis=1)
 
 
@@ -225,7 +225,7 @@ def cmd_bounds(args):
                 {"theorem": p.theorem, "j": j, "ell": ell, "observed": obs, "bound": bnd}
                 for p in panels
                 for j, (ell, obs, bnd) in enumerate(
-                    zip(p.ell.tolist(), p.rel_diff.tolist(), p.bound.tolist())
+                    zip(p.ell.tolist(), p.observed.tolist(), p.bound.tolist())
                 )
             ]
         ) + "\n"

@@ -8,7 +8,7 @@ generates its matrices and perturbations from that seed (sub-streams
 are spawned in a fixed documented order, so equal seeds give
 byte-identical CSV output), evaluates the figure's bound at every
 index, and returns one FigurePanel per panel: per-index columns ell,
-ell_tilde, rel_diff (the quantity bounds.observed gives for the
+ell_tilde, observed (the quantity bounds.observed gives for the
 panel's theorem) and bound, where row j of the CSV is index j.
 
 Figure map
@@ -72,7 +72,7 @@ logger = logging.getLogger(__name__)
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
-CSV_HEADER = ("panel", "j", "ell", "ell_tilde", "rel_diff", "bound", "theorem")
+CSV_HEADER = ("panel", "j", "ell", "ell_tilde", "observed", "bound", "theorem")
 
 # Theorem tag of panels that carry leverage scores rather than differences.
 SCORES_TAG = "levscores"
@@ -102,7 +102,7 @@ class ExperimentConfig:
 class FigurePanel:
     """
     One figure panel as per-index columns; row j of the CSV is index j.
-    Score panels carry SCORES_TAG and NaN in ell_tilde, rel_diff and
+    Score panels carry SCORES_TAG and NaN in ell_tilde, observed and
     bound.
     """
 
@@ -110,7 +110,7 @@ class FigurePanel:
     theorem: str
     ell: np.ndarray
     ell_tilde: np.ndarray
-    rel_diff: np.ndarray
+    observed: np.ndarray
     bound: np.ndarray
 
     @classmethod
@@ -280,7 +280,7 @@ def verify_rows(panels):
     for p in panels:
         if p.theorem == SCORES_TAG:
             continue
-        check = check_policy(p.rel_diff, p.bound, p.theorem)
+        check = check_policy(p.observed, p.bound, p.theorem)
         if check.ok:
             continue
         if check.first_order:
@@ -305,35 +305,10 @@ def emit_csv(panels, path):
         writer.writerow(CSV_HEADER)
         for p in panels:
             columns = zip(
-                p.ell.tolist(), p.ell_tilde.tolist(), p.rel_diff.tolist(), p.bound.tolist()
+                p.ell.tolist(), p.ell_tilde.tolist(), p.observed.tolist(), p.bound.tolist()
             )
             for j, values in enumerate(columns):
                 writer.writerow((p.name, j, *map(fmt, values), p.theorem))
-
-
-def parse_csv(path):
-    """Read a CSV written by emit_csv back into FigurePanel objects."""
-
-    def val(s):
-        return math.nan if s == "" else float(s)
-
-    groups = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected CSV header {header}")
-        for name, j, ell, ell_tilde, rel_diff, bound, theorem in reader:
-            group_theorem, values = groups.setdefault(name, (theorem, []))
-            if int(j) != len(values) or theorem != group_theorem:
-                raise ValueError(
-                    f"{path}: panel {name} row {j} is out of order or changes theorem"
-                )
-            values.append([val(ell), val(ell_tilde), val(rel_diff), val(bound)])
-    return [
-        FigurePanel(name, theorem, *np.array(values).reshape(-1, 4).T)
-        for name, (theorem, values) in groups.items()
-    ]
 
 
 def _points(values):
@@ -360,7 +335,7 @@ def emit_svg(panels, path, title=""):
             plots.append(
                 svgplot.Panel(
                     title=f"panel {p.name}: rel diff vs {p.theorem}",
-                    points=_points(p.rel_diff),
+                    points=_points(p.observed),
                     bound=_points(p.bound),
                 )
             )

@@ -14,6 +14,7 @@ agreement with the QR route checks the dgejsv step, not the range of
 Q.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .linalg import (
     BASIS_TOL,
     RankDeficiencyError,
+    _range_exponent,
     as_matrix,
     check_orthonormal,
     fro_norm,
@@ -113,24 +115,9 @@ def matrix_stats(a):
     a = as_matrix(a, "a")
     sigma = full_rank_qr(a)[2].sigma
     two = float(sigma[0])
-    fro = fro_norm(a)
-    return MatrixStats(kappa2=two / float(sigma[-1]), stable_rank=fro**2 / two**2)
+    # Square both norms at a's power-of-two prescale, where neither
+    # over- nor underflows; the ratio is the same bits at any scale.
+    exponent = _range_exponent(a)
+    fro, two_s = math.ldexp(fro_norm(a), -exponent), math.ldexp(two, -exponent)
+    return MatrixStats(kappa2=two / float(sigma[-1]), stable_rank=fro**2 / two_s**2)
 
-
-def relative_diffs(base, pert):
-    """
-    Per-index relative differences |pert - base| / base.
-
-    Entries where base <= 0 are undefined and returned as NaN;
-    relative comparisons only make sense for strictly positive scores.
-    """
-    base = np.asarray(base, dtype=np.float64)
-    pert = np.asarray(pert, dtype=np.float64)
-    if base.shape != pert.shape:
-        raise ValueError(
-            f"length mismatch: base has shape {base.shape}, pert has shape {pert.shape}"
-        )
-    out = np.full(base.shape, np.nan)
-    defined = base > 0.0
-    out[defined] = np.abs(pert[defined] - base[defined]) / base[defined]
-    return out

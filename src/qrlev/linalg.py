@@ -84,9 +84,27 @@ def fro_norm(x):
     """
     Frobenius norm by numpy's pairwise sum of the squared entries. It
     does not depend on the BLAS thread count, where np.linalg.norm's
-    dot product does on long inputs.
+    dot product does on long inputs. Entries whose squares would
+    overflow or underflow are prescaled by a power of two.
     """
+    exponent = _range_exponent(x)
+    if exponent:
+        return math.ldexp(fro_norm(np.ldexp(x, -exponent)), exponent)
     return float(np.sqrt(np.add.reduce((x * x).ravel())))
+
+
+def row_norms(x):
+    """Two-norm of each row of x, prescaled as in fro_norm."""
+    exponent = _range_exponent(x)
+    if exponent:
+        return np.ldexp(row_norms(np.ldexp(x, -exponent)), exponent)
+    return np.linalg.norm(x, axis=1)
+
+
+def safe_ratio(num, den):
+    """num / den where den > 0, NaN elsewhere (also where den is NaN)."""
+    out = np.full(np.broadcast(num, den).shape, np.nan)
+    return np.divide(num, den, out=out, where=np.greater(den, 0.0))
 
 
 def check_orthonormal(q, tol, name="q"):

@@ -38,6 +38,8 @@ from .linalg import (
     fro_norm,
     householder_qr,
     project_complement,
+    row_norms,
+    safe_ratio,
     two_norm,
 )
 
@@ -240,21 +242,12 @@ def measure(a, delta):
     a_two = float(svd_r.sigma[0])
     a_fro = fro_norm(a)
     perp = project_complement(q, delta)
-
-    a_rows = np.linalg.norm(a, axis=1)
-    d_rows = np.linalg.norm(delta, axis=1)
-    p_rows = np.linalg.norm(perp, axis=1)
-    eps_row = np.full(a_rows.shape, np.nan)
-    eps_row_perp = np.full(a_rows.shape, np.nan)
-    nz = a_rows > 0.0
-    eps_row[nz] = d_rows[nz] / a_rows[nz]
-    eps_row_perp[nz] = p_rows[nz] / a_rows[nz]
-
+    a_rows = row_norms(a)
     return PerturbationMetrics(
         eps_two=two_norm(delta) / a_two,
         eps_fro=fro_norm(delta) / a_fro,
         eps_two_perp=two_norm(perp) / a_two,
         eps_fro_perp=fro_norm(perp) / a_fro,
-        eps_row=eps_row,
-        eps_row_perp=eps_row_perp,
+        eps_row=safe_ratio(row_norms(delta), a_rows),
+        eps_row_perp=safe_ratio(row_norms(perp), a_rows),
     )

@@ -127,6 +127,16 @@ def test_cli_check_reports_every_criterion(results, capsys, monkeypatch):
     assert out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [3, 7])
+def test_cli_check_matches_golden_report(seed, capsys):
+    # A full run at two more seeds; each exits 1 on criterion 8 alone.
+    from qrlev.cli import main
+
+    assert main(["check", "--seed", str(seed)]) == 1
+    golden = Path(__file__).parent / "golden" / f"check_seed{seed}.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def _panels_within_bounds():
     """
     A ctx for criteria 4 and 6 whose panels all hold their bounds:
@@ -186,7 +196,7 @@ def test_criteria_4_and_6_pass_on_panels_within_their_bounds():
 def test_criterion_4_fails_on_one_index_above_its_bound(figure, name, theorem):
     ctx = _panels_within_bounds()
     p = ctx["figures"][figure][name]
-    p.rel_diff[17] = 1.01 * p.bound[17]
+    p.observed[17] = 1.01 * p.bound[17]
     res = acceptance.criterion_4(ctx)
     assert not res.passed
     assert res.detail == f"violations: {theorem} {figure}/{name}:1"
@@ -214,9 +224,9 @@ def test_criterion_6_fails_on_one_index_beyond_the_cap(source, figure, name, the
     panels = ctx[source] if source == "fig4_t3_3" else ctx["figures"][source]
     p = panels[name]
     # One index above the bound is within the 99 percent allowance.
-    p.rel_diff[17] = 2.0 * p.bound[17]
+    p.observed[17] = 2.0 * p.bound[17]
     assert acceptance.criterion_6(ctx).passed
-    p.rel_diff[17] = 11.0 * p.bound[17]
+    p.observed[17] = 11.0 * p.bound[17]
     res = acceptance.criterion_6(ctx)
     assert not res.passed
     assert res.detail.endswith(f" FAILED: {theorem} {figure}/{name}")

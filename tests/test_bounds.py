@@ -379,6 +379,28 @@ def test_observed_quantity_by_tag(theorem, expected):
     np.testing.assert_array_equal(observed(theorem, lev, lev_tilde), expected)
 
 
+class TestRelativeObserved:
+    # The relative difference |lev_tilde - lev| / lev of every tag but T1.
+    def test_identical(self):
+        np.testing.assert_array_equal(
+            observed("C1_rel", np.array([0.3, 0.7]), np.array([0.3, 0.7])), [0.0, 0.0]
+        )
+
+    def test_direct_substitution(self):
+        out = observed("C1_rel", np.array([0.5]), np.array([0.4]))
+        np.testing.assert_allclose(out, [0.2])
+
+    def test_zero_score_flagged(self):
+        out = observed("C1_rel", np.array([0.0, 0.5]), np.array([0.9, 0.5]))
+        assert np.isnan(out[0])
+        assert out[1] == 0.0
+
+    def test_length_mismatch(self):
+        for theorem in ("T1_abs", "C1_rel"):
+            with pytest.raises(ValueError, match="mismatch"):
+                observed(theorem, np.ones(3), np.ones(4))
+
+
 def _first_order_at(product):
     # ||delta||_2 = product exactly and sigma_min(a) = 1 exactly.
     delta = np.zeros((4, 2))

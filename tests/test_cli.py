@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qrlev.cli import main
+from qrlev.cli import _componentwise_eta, main
 from qrlev.generate import GenSpec, random_orthonormal, stepped_orthonormal
 from qrlev.io import read_matrix, write_matrix
 from qrlev.leverage import matrix_stats
@@ -300,8 +300,28 @@ class TestBounds:
         ])
         assert code == 0
         text = out.read_text().splitlines()
-        assert text[0] == "panel,j,ell,ell_tilde,rel_diff,bound,theorem"
+        assert text[0] == "panel,j,ell,ell_tilde,observed,bound,theorem"
         assert len(text) == 31
+
+    def test_t3_4_eta_recovered_below_any_floor(self, tmp_path, capsys):
+        # Entries near 2**-1000 (about 1e-301): eta and the T3_4 bound
+        # are those of the same pair at scale 1, up to the subnormal
+        # rounding of delta.
+        a = np.random.default_rng(1).standard_normal((30, 4))
+        delta = componentwise_row_perturbation(a, 1e-8, 2)
+        bounds = []
+        for exponent in (0, -1000):
+            mat, dlt = tmp_path / f"a{exponent}.txt", tmp_path / f"d{exponent}.txt"
+            write_matrix(np.ldexp(a, exponent), mat)
+            write_matrix(np.ldexp(delta, exponent), dlt)
+            assert run([
+                "bounds", "t3_4", "--matrix", str(mat), "--delta", str(dlt),
+                "--format", "json",
+            ]) == 0
+            bounds.append([r["bound"] for r in json.loads(capsys.readouterr().out)])
+            eta = _componentwise_eta(read_matrix(mat), read_matrix(dlt))
+            np.testing.assert_allclose(eta, _componentwise_eta(a, delta), rtol=1e-9)
+        np.testing.assert_allclose(bounds[1], bounds[0], rtol=1e-9)
 
     def test_t3_4_hypothesis_violation_exit_one(self, tmp_path, capsys):
         # eta * kappa2 >= 1: componentwise scaling of an

@@ -25,7 +25,6 @@ from qrlev.experiments import (
     emit_csv,
     emit_svg,
     fig4_panels,
-    parse_csv,
     run_fig1,
     run_fig2,
     run_fig4,
@@ -48,10 +47,10 @@ def by_name(panels):
     return {p.name: p for p in panels}
 
 
-def make_panel(theorem, rel_diff, bound, name="a"):
-    rel_diff = np.array(rel_diff, dtype=float)
-    ell = np.full(rel_diff.shape, 0.5)
-    return FigurePanel(name, theorem, ell, ell.copy(), rel_diff, np.asarray(bound, float))
+def make_panel(theorem, obs, bound, name="a"):
+    obs = np.array(obs, dtype=float)
+    ell = np.full(obs.shape, 0.5)
+    return FigurePanel(name, theorem, ell, ell.copy(), obs, np.asarray(bound, float))
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +80,7 @@ class TestFig1:
         assert all(
             len(col) == 1000
             for p in fig1_panels
-            for col in (p.ell, p.ell_tilde, p.rel_diff, p.bound)
+            for col in (p.ell, p.ell_tilde, p.observed, p.bound)
         )
         panels = by_name(fig1_panels)
         assert set(panels) == {"a", "b", "c", "d"}
@@ -93,9 +92,9 @@ class TestFig1:
 
     def test_bound_above_observed_everywhere(self, fig1_panels):
         for p in fig1_panels:
-            defined = ~np.isnan(p.rel_diff)
+            defined = ~np.isnan(p.observed)
             assert np.all(
-                p.rel_diff[defined] <= p.bound[defined] * 1.001 + 1e-12
+                p.observed[defined] <= p.bound[defined] * 1.001 + 1e-12
             )
 
 
@@ -137,7 +136,7 @@ class TestOtherFigures:
 
     def test_fig4_local_and_global_effects(self):
         panels = by_name(run_fig4(SEED))
-        rel_a = panels["a"].rel_diff
+        rel_a = panels["a"].observed
         bnd_a = panels["a"].bound
         bnd_b = panels["b"].bound
         assert FIG4_ROWS == slice(500, 750)
@@ -157,7 +156,7 @@ class TestOtherFigures:
                 (p.name, p.theorem) for p in alone
             ]
             for p, q in zip(shared, alone):
-                for col in ("ell", "ell_tilde", "rel_diff", "bound"):
+                for col in ("ell", "ell_tilde", "observed", "bound"):
                     assert np.array_equal(
                         getattr(p, col), getattr(q, col), equal_nan=True
                     ), (p.theorem, p.name, col)
@@ -171,9 +170,9 @@ class TestVerifyPolicy:
 
     def test_first_order_outlier_tolerated(self):
         panel = make_panel("T3_4", np.full(200, 1e-9), np.full(200, 1e-7))
-        panel.rel_diff[0] = 5e-7  # within 10x
+        panel.observed[0] = 5e-7  # within 10x
         verify_rows([panel])
-        panel.rel_diff[0] = 5e-6  # beyond 10x
+        panel.observed[0] = 5e-6  # beyond 10x
         with pytest.raises(BoundViolationError, match="T3_4"):
             verify_rows([panel])
 
@@ -212,36 +211,15 @@ class TestVerifyPolicy:
 
 
 class TestCSV:
-    def test_roundtrip_bit_exact(self, tmp_path, fig1_panels):
-        path = tmp_path / "rows.csv"
-        emit_csv(fig1_panels, path)
-        parsed = parse_csv(path)
-        assert len(parsed) == len(fig1_panels)
-        for a, b in zip(fig1_panels, parsed):
-            assert a.name == b.name and a.theorem == b.theorem
-            for field in ("ell", "ell_tilde", "rel_diff", "bound"):
-                x, y = getattr(a, field), getattr(b, field)
-                assert np.array_equal(x, y, equal_nan=True)
-
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv([], path)
-        assert path.read_text() == "panel,j,ell,ell_tilde,rel_diff,bound,theorem\n"
+        assert path.read_text() == "panel,j,ell,ell_tilde,observed,bound,theorem\n"
 
     def test_nan_serialized_empty(self, tmp_path):
         path = tmp_path / "one.csv"
         emit_csv([FigurePanel.scores("a", np.array([0.5]))], path)
         assert path.read_text().splitlines()[1] == "a,0,0.5,,,,levscores"
-
-    def test_row_index_must_match_position(self, tmp_path):
-        path = tmp_path / "gap.csv"
-        path.write_text(
-            "panel,j,ell,ell_tilde,rel_diff,bound,theorem\n"
-            "a,0,0.5,,,,levscores\n"
-            "a,2,0.5,,,,levscores\n"
-        )
-        with pytest.raises(ValueError, match="out of order"):
-            parse_csv(path)
 
 
 class TestSVG:
@@ -254,7 +232,7 @@ class TestSVG:
         rel_points = [
             c for c in circles if c.attrib.get("class") == "pt-rel"
         ]
-        defined = sum(int(np.count_nonzero(~np.isnan(p.rel_diff))) for p in fig1_panels)
+        defined = sum(int(np.count_nonzero(~np.isnan(p.observed))) for p in fig1_panels)
         assert len(rel_points) == defined
         lev_points = [c for c in circles if c.attrib.get("class") == "pt-lev"]
         assert len(lev_points) == 1000

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,9 @@ from qrlev.leverage import (
     leverage_qr,
     leverage_svd,
     matrix_stats,
-    relative_diffs,
 )
 from qrlev.linalg import RankDeficiencyError, householder_qr
+from qrlev.perturb import measure
 
 CROSS = 0.5 * np.array([[1, 1], [1, -1], [1, 1], [1, -1.0]])
 
@@ -116,6 +118,53 @@ class TestEdgeShapes:
         a = np.random.default_rng(1).standard_normal(shape)
         scaled = leverage_qr(np.ldexp(a, exponent))
         assert scaled.tobytes() == leverage_qr(a).tobytes()
+        assert matrix_stats(np.ldexp(a, exponent)) == matrix_stats(a)
+        delta = 1e-8 * np.random.default_rng(2).standard_normal(shape)
+        got = measure(np.ldexp(a, exponent), np.ldexp(delta, exponent))
+        want = measure(a, delta)
+        for field in dataclasses.fields(want):
+            x, y = getattr(got, field.name), getattr(want, field.name)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
+
+    @pytest.mark.parametrize(("m", "n"), [(1, 1), (7, 1), (6, 6), (25, 25), (12, 6), (50, 25)])
+    def test_stats_and_measure_on_edge_shapes(self, m, n):
+        # n = 1, m = n and m = 2n. ||a||_F and ||a||_2 come from different
+        # sums, so at n = 1 the stable rank can exceed 1 by round-off (up
+        # to 3 ulps on 200 seeded 7 x 1 Gaussians).
+        rng = np.random.default_rng(4)
+        a = randsvd_matrix(m, n, 1e3, rng) if n > 1 else rng.standard_normal((m, n))
+        stats = matrix_stats(a)
+        assert stats.kappa2 >= 1.0
+        assert stats.stable_rank <= n * (1.0 + 4.0 * np.finfo(np.float64).eps)
+        metrics = measure(a, 1e-8 * rng.standard_normal((m, n)))
+        assert np.all(np.isfinite(metrics.eps_row))
+        assert 0.0 < metrics.eps_fro < 1e-6
+
+    @pytest.mark.parametrize("rows", [[0], [3, 9], [2, 5, 11]])
+    def test_measure_zero_rows_are_nan_exactly_there(self, rows):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((12, 3))
+        a[rows] = 0.0
+        metrics = measure(a, 1e-8 * rng.standard_normal((12, 3)))
+        zero = np.isin(np.arange(12), rows)
+        np.testing.assert_array_equal(np.isnan(metrics.eps_row), zero)
+        np.testing.assert_array_equal(np.isnan(metrics.eps_row_perp), zero)
+
+    @pytest.mark.parametrize(("factor", "full_rank"), [(0.5, False), (2.0, True)])
+    def test_stats_and_measure_at_rank_threshold(self, factor, full_rank):
+        m = 40
+        a = np.zeros((m, 3))
+        a[:3, :3] = np.diag([1.0, 1.0, factor * RANK_TOL_FACTOR * m])
+        delta = np.full((m, 3), 1e-20)
+        if not full_rank:
+            for fn in (lambda: matrix_stats(a), lambda: measure(a, delta)):
+                with pytest.raises(RankDeficiencyError):
+                    fn()
+            return
+        stats = matrix_stats(a)
+        assert stats.kappa2 == pytest.approx(1.0 / (factor * RANK_TOL_FACTOR * m))
+        assert 1.0 <= stats.stable_rank <= 3
+        assert np.isnan(measure(a, delta).eps_row[3:]).all()
 
     @pytest.mark.parametrize("row", [3, 6, 9])
     def test_zero_row_below_n_scores_exactly_zero(self, row):
@@ -204,26 +253,6 @@ class TestMatrixStats:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficiencyError):
             matrix_stats(np.ones((5, 2)))
-
-
-class TestRelativeDiffs:
-    def test_identical(self):
-        np.testing.assert_array_equal(
-            relative_diffs(np.array([0.3, 0.7]), np.array([0.3, 0.7])), [0.0, 0.0]
-        )
-
-    def test_direct_substitution(self):
-        out = relative_diffs(np.array([0.5]), np.array([0.4]))
-        np.testing.assert_allclose(out, [0.2])
-
-    def test_zero_score_flagged(self):
-        out = relative_diffs(np.array([0.0, 0.5]), np.array([0.9, 0.5]))
-        assert np.isnan(out[0])
-        assert out[1] == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            relative_diffs(np.ones(3), np.ones(4))
 
 
 def test_basis_independence_under_rotation():

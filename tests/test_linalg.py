@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from qrlev.linalg import (
     householder_qr,
     jacobi_svd,
     project_complement,
+    row_norms,
+    safe_ratio,
     triu_half,
     two_norm,
 )
@@ -164,6 +168,21 @@ class TestNorms:
         assert fro_norm(np.array([[3.0], [4.0]])) == 5.0
         a = np.random.default_rng(3).standard_normal((1000, 25))
         assert fro_norm(a) == pytest.approx(np.linalg.norm(a, "fro"), rel=1e-14)
+
+    @pytest.mark.parametrize("exponent", [-1000, -700, 700, 1000])
+    def test_norms_scale_exactly_by_powers_of_two(self, exponent):
+        # Squares of entries near 2**+-700 over- or underflow.
+        a = np.random.default_rng(3).standard_normal((50, 4))
+        scaled = np.ldexp(a, exponent)
+        assert fro_norm(scaled) == math.ldexp(fro_norm(a), exponent)
+        assert row_norms(scaled).tobytes() == np.ldexp(row_norms(a), exponent).tobytes()
+
+    def test_ratio_is_nan_where_denominator_not_positive(self):
+        den = np.array([2.0, 0.0, -1.0, np.nan])
+        np.testing.assert_array_equal(safe_ratio(1.0, den), [0.5, np.nan, np.nan, np.nan])
+        np.testing.assert_array_equal(
+            safe_ratio(np.array([3.0, 1.0, 1.0, 1.0]), den), [1.5, np.nan, np.nan, np.nan]
+        )
 
 
 class TestProjectComplement:
