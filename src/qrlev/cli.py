@@ -160,7 +160,7 @@ def cmd_levscores(args):
         text = json.dumps([float(x) for x in lev]) + "\n"
     else:
         text = "j,ell\n" + "".join(
-            f"{j},{format_float(x)}\n" for j, x in enumerate(lev)
+            f"{j},{format_float(x)}\n" for j, x in enumerate(lev.tolist())
         )
     if args.out:
         with open(args.out, "w") as fh:

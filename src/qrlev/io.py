@@ -68,9 +68,7 @@ def write_matrix(a, path):
     m, n = a.shape
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{m} {n}\n")
-        for row in a:
-            fh.write(" ".join(format_float(x) for x in row))
-            fh.write("\n")
+        fh.writelines(" ".join(map(format_float, row.tolist())) + "\n" for row in a)
 
 
 def read_matrix(path):

@@ -109,8 +109,10 @@ def matrix_stats(a):
     Condition number and stable rank.
 
     kappa2 is sigma_max / sigma_min; the stable rank is
-    ||a||_F**2 / ||a||_2**2 and never exceeds the column count. Same
-    contract as leverage_qr: m >= n and numerically full rank.
+    ||a||_F**2 / ||a||_2**2, at most n (1 + 4 eps) for n columns: the
+    two norms come from different sums, so at n = 1 it can exceed 1 by
+    a few ulps of round-off. Same contract as leverage_qr: m >= n and
+    numerically full rank.
     """
     a = as_matrix(a, "a")
     sigma = full_rank_qr(a)[2].sigma

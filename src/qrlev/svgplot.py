@@ -11,6 +11,8 @@ cannot display them.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # Log-scale clipping floor for nonpositive or underflowing values.
 PLOT_FLOOR = 1e-16
 
@@ -25,27 +27,38 @@ PANELS_PER_ROW = 3
 
 @dataclass
 class Panel:
+    """
+    One scatter panel: values[k] is drawn at index[k], and the bound
+    curve joins (bound_index[k], bound_values[k]) in the order given,
+    so bound_index should increase.
+    """
+
     title: str
-    points: list = field(default_factory=list)  # (index, value)
-    bound: list = field(default_factory=list)   # (index, value)
+    index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    bound_index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    bound_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     point_class: str = "pt-rel"
 
 
-def _clip(v):
-    if not math.isfinite(v) or v < PLOT_FLOOR:
-        return PLOT_FLOOR
-    return v
+def _clip(values):
+    """Values below PLOT_FLOOR or not finite are drawn at the floor."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isfinite(values) & (values >= PLOT_FLOOR), values, PLOT_FLOOR)
+
+
+def _log10(values):
+    # math.log10, not np.log10: the two differ in the last bit on about
+    # 7% of random inputs, and one bit can move a pixel's .2f text.
+    return np.array(list(map(math.log10, _clip(values).tolist())), dtype=float)
 
 
 def _log_range(panels):
-    values = []
-    for p in panels:
-        values.extend(_clip(v) for _, v in p.points)
-        values.extend(_clip(v) for _, v in p.bound)
-    if not values:
+    columns = [_clip(c) for p in panels for c in (p.values, p.bound_values) if c.size]
+    if not columns:
         return -1.0, 1.0
-    lo = math.floor(math.log10(min(values)))
-    hi = math.ceil(math.log10(max(values)))
+    lo = math.floor(math.log10(min(c.min() for c in columns)))
+    hi = math.ceil(math.log10(max(c.max() for c in columns)))
     if lo == hi:
         lo -= 1
         hi += 1
@@ -53,13 +66,8 @@ def _log_range(panels):
 
 
 def _x_range(panels):
-    hi = 1
-    for p in panels:
-        for j, _ in p.points:
-            hi = max(hi, j)
-        for j, _ in p.bound:
-            hi = max(hi, j)
-    return 0.0, float(hi)
+    ends = [int(j.max()) for p in panels for j in (p.index, p.bound_index) if j.size]
+    return 0.0, float(max([1, *ends]))
 
 
 def render(panels, title=""):
@@ -76,12 +84,14 @@ def render(panels, title=""):
     plot_w = PANEL_W - MARGIN_L - MARGIN_R
     plot_h = PANEL_H - MARGIN_T - MARGIN_B
 
-    def x_pix(j):
-        return MARGIN_L + (j - xlo) / max(xhi - xlo, 1.0) * plot_w
+    def x_pix(index):
+        return MARGIN_L + (index - xlo) / max(xhi - xlo, 1.0) * plot_w
 
-    def y_pix(v):
-        lv = math.log10(_clip(v))
-        return MARGIN_T + (yhi - lv) / (yhi - ylo) * plot_h
+    def y_pix(values):
+        return MARGIN_T + (yhi - _log10(values)) / (yhi - ylo) * plot_h
+
+    def pixels(index, values):
+        return zip(x_pix(index).tolist(), y_pix(values).tolist())
 
     out = []
     out.append(
@@ -103,6 +113,17 @@ def render(panels, title=""):
     if title:
         out.append(f'<text x="6" y="12" class="ptitle">{_escape(title)}</text>')
 
+    # Every panel shares the y range and so the same decade grid.
+    decade = int(yhi - ylo) // 8 + 1
+    levels = range(int(ylo), int(yhi) + 1, decade)
+    grid = []
+    for level, yp in zip(levels, y_pix([10.0**level for level in levels]).tolist()):
+        grid.append(
+            f'<line x1="{MARGIN_L}" y1="{yp:.2f}" '
+            f'x2="{MARGIN_L + plot_w}" y2="{yp:.2f}" class="grid"/>'
+        )
+        grid.append(f'<text x="2" y="{yp + 3:.2f}">1e{level}</text>')
+
     y_off0 = 16 if title else 0
     for idx, panel in enumerate(panels):
         gx = (idx % cols) * PANEL_W
@@ -116,29 +137,19 @@ def render(panels, title=""):
             f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" '
             f'height="{plot_h}" class="axis"/>'
         )
-        decade = int(yhi - ylo) // 8 + 1
-        level = int(ylo)
-        while level <= int(yhi):
-            yp = y_pix(10.0**level)
-            out.append(
-                f'<line x1="{MARGIN_L}" y1="{yp:.2f}" '
-                f'x2="{MARGIN_L + plot_w}" y2="{yp:.2f}" class="grid"/>'
-            )
-            out.append(
-                f'<text x="2" y="{yp + 3:.2f}">1e{level}</text>'
-            )
-            level += decade
+        out.extend(grid)
         out.append(
             f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{PANEL_H - 8}">index j</text>'
         )
-        for j, v in panel.points:
-            out.append(
-                f'<circle cx="{x_pix(j):.2f}" cy="{y_pix(v):.2f}" r="1.4" '
-                f'class="{panel.point_class}"/>'
-            )
-        if panel.bound:
+        cls = panel.point_class
+        out.extend(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.4" class="{cls}"/>'
+            for x, y in pixels(panel.index, panel.values)
+        )
+        if panel.bound_index.size:
             pts = " ".join(
-                f"{x_pix(j):.2f},{y_pix(v):.2f}" for j, v in sorted(panel.bound)
+                f"{x:.2f},{y:.2f}"
+                for x, y in pixels(panel.bound_index, panel.bound_values)
             )
             out.append(f'<polyline points="{pts}" class="bound"/>')
         out.append("</g>")

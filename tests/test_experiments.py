@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -7,14 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrlev import bounds, experiments
+from qrlev import bounds, experiments, svgplot
 from qrlev.bounds import (
     EXACT_ABS_SLACK,
     EXACT_REL_SLACK,
     FIRST_ORDER_CAP,
+    bound_t1,
     bound_t3_2,
     bound_t3_3,
 )
+from qrlev.angles import principal_angles
 from qrlev.experiments import (
     BoundViolationError,
     ExperimentConfig,
@@ -31,10 +36,191 @@ from qrlev.experiments import (
     run_figure,
     verify_rows,
 )
+from qrlev.io import format_float
+from qrlev.svgplot import (
+    MARGIN_B,
+    MARGIN_L,
+    MARGIN_R,
+    MARGIN_T,
+    PANEL_H,
+    PANEL_W,
+    PANELS_PER_ROW,
+    PLOT_FLOOR,
+)
 
 SEED = 42
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "demos" / "out"
+
+
+# Reference emitters: the value-at-a-time bodies of emit_csv, emit_svg
+# and svgplot.render that the column-at-a-time ones replaced, kept
+# verbatim (only renamed) so the tests can require equal bytes.
+
+
+def _reference_emit_csv(panels, path):
+    def fmt(x):
+        return "" if math.isnan(x) else format_float(x)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(experiments.CSV_HEADER)
+        for p in panels:
+            columns = zip(
+                p.ell.tolist(), p.ell_tilde.tolist(), p.observed.tolist(), p.bound.tolist()
+            )
+            for j, values in enumerate(columns):
+                writer.writerow((p.name, j, *map(fmt, values), p.theorem))
+
+
+@dataclasses.dataclass
+class _ReferencePanel:
+    title: str
+    points: list = dataclasses.field(default_factory=list)  # (index, value)
+    bound: list = dataclasses.field(default_factory=list)   # (index, value)
+    point_class: str = "pt-rel"
+
+
+def _reference_clip(v):
+    if not math.isfinite(v) or v < PLOT_FLOOR:
+        return PLOT_FLOOR
+    return v
+
+
+def _reference_log_range(panels):
+    values = []
+    for p in panels:
+        values.extend(_reference_clip(v) for _, v in p.points)
+        values.extend(_reference_clip(v) for _, v in p.bound)
+    if not values:
+        return -1.0, 1.0
+    lo = math.floor(math.log10(min(values)))
+    hi = math.ceil(math.log10(max(values)))
+    if lo == hi:
+        lo -= 1
+        hi += 1
+    return float(lo), float(hi)
+
+
+def _reference_x_range(panels):
+    hi = 1
+    for p in panels:
+        for j, _ in p.points:
+            hi = max(hi, j)
+        for j, _ in p.bound:
+            hi = max(hi, j)
+    return 0.0, float(hi)
+
+
+def _reference_render(panels, title=""):
+    n_panels = max(len(panels), 1)
+    cols = min(PANELS_PER_ROW, n_panels)
+    rows = (n_panels + cols - 1) // cols
+    width = cols * PANEL_W
+    height = rows * PANEL_H + (16 if title else 0)
+
+    ylo, yhi = _reference_log_range(panels)
+    xlo, xhi = _reference_x_range(panels)
+
+    plot_w = PANEL_W - MARGIN_L - MARGIN_R
+    plot_h = PANEL_H - MARGIN_T - MARGIN_B
+
+    def x_pix(j):
+        return MARGIN_L + (j - xlo) / max(xhi - xlo, 1.0) * plot_w
+
+    def y_pix(v):
+        lv = math.log10(_reference_clip(v))
+        return MARGIN_T + (yhi - lv) / (yhi - ylo) * plot_h
+
+    out = []
+    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    )
+    out.append(
+        "<style>"
+        ".pt-rel{fill:#1f4fd6;stroke:none}"
+        ".pt-lev{fill:#1f8f3a;stroke:none}"
+        ".bound{fill:none;stroke:#d62717;stroke-width:1.2}"
+        ".axis{stroke:#222;stroke-width:1;fill:none}"
+        ".grid{stroke:#ccc;stroke-width:0.5}"
+        "text{font-family:sans-serif;font-size:9px;fill:#222}"
+        ".ptitle{font-size:11px}"
+        "</style>"
+    )
+    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    if title:
+        out.append(f'<text x="6" y="12" class="ptitle">{svgplot._escape(title)}</text>')
+
+    y_off0 = 16 if title else 0
+    for idx, panel in enumerate(panels):
+        gx = (idx % cols) * PANEL_W
+        gy = (idx // cols) * PANEL_H + y_off0
+        out.append(f'<g transform="translate({gx},{gy})">')
+        out.append(
+            f'<text x="{MARGIN_L}" y="{MARGIN_T - 10}" class="ptitle">'
+            f"{svgplot._escape(panel.title)}</text>"
+        )
+        out.append(
+            f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" '
+            f'height="{plot_h}" class="axis"/>'
+        )
+        decade = int(yhi - ylo) // 8 + 1
+        level = int(ylo)
+        while level <= int(yhi):
+            yp = y_pix(10.0**level)
+            out.append(
+                f'<line x1="{MARGIN_L}" y1="{yp:.2f}" '
+                f'x2="{MARGIN_L + plot_w}" y2="{yp:.2f}" class="grid"/>'
+            )
+            out.append(
+                f'<text x="2" y="{yp + 3:.2f}">1e{level}</text>'
+            )
+            level += decade
+        out.append(
+            f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{PANEL_H - 8}">index j</text>'
+        )
+        for j, v in panel.points:
+            out.append(
+                f'<circle cx="{x_pix(j):.2f}" cy="{y_pix(v):.2f}" r="1.4" '
+                f'class="{panel.point_class}"/>'
+            )
+        if panel.bound:
+            pts = " ".join(
+                f"{x_pix(j):.2f},{y_pix(v):.2f}" for j, v in sorted(panel.bound)
+            )
+            out.append(f'<polyline points="{pts}" class="bound"/>')
+        out.append("</g>")
+
+    out.append("</svg>")
+    return "\n".join(out)
+
+
+def _reference_points(values):
+    return [(j, y) for j, y in enumerate(values.tolist()) if not math.isnan(y)]
+
+
+def _reference_emit_svg(panels, path, title=""):
+    plots = []
+    for p in panels:
+        if p.theorem == experiments.SCORES_TAG:
+            plots.append(
+                _ReferencePanel(
+                    title=f"panel {p.name}: leverage scores",
+                    points=_reference_points(p.ell),
+                    point_class="pt-lev",
+                )
+            )
+        else:
+            plots.append(
+                _ReferencePanel(
+                    title=f"panel {p.name}: rel diff vs {p.theorem}",
+                    points=_reference_points(p.observed),
+                    bound=_reference_points(p.bound),
+                )
+            )
+    with open(path, "w", newline="\n") as fh:
+        fh.write(_reference_render(plots, title=title))
 
 
 def _usable_cpus():
@@ -61,6 +247,78 @@ def fig1_panels():
 @pytest.fixture(scope="module")
 def fig2_panels():
     return run_fig2(SEED)
+
+
+@pytest.fixture(scope="module")
+def figure_panels():
+    return {figure: FIGURE_RUNNERS[figure](SEED) for figure in FIGURES}
+
+
+def _edge_cases():
+    """Panels and titles that reach each float, range and escape rule."""
+    specials = np.array(
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-300, 3e-17, PLOT_FLOOR, 0.5]
+    )
+    rng = np.random.default_rng(15)
+    obs = 10.0 ** rng.uniform(-20.0, 0.0, 40000)
+    obs[::97] = np.nan
+    bound = obs * 10.0 ** rng.uniform(0.0, 3.0, 40000)
+    bound[::89] = np.nan
+    ell = rng.uniform(0.0, 1.0, 40000)
+    powers = 10.0 ** -np.arange(1.0, 17.0)
+    return {
+        "empty": ([], ""),
+        "lone_score": ([FigurePanel.scores("a", np.array([0.5, 0.25, 1.0]))], ""),
+        "specials": (
+            [
+                FigurePanel.scores("a", specials),
+                FigurePanel(
+                    "b", "C1_rel", specials, specials[::-1], specials, specials[::-1]
+                ),
+            ],
+            "specials",
+        ),
+        "powers_of_ten": ([make_panel("T3_1", powers, powers[::-1])], "powers"),
+        # On the y range 1e-16..1 these three sit on a .2f rounding edge
+        # that np.log10 would put them across; math.log10 does not.
+        "log10_last_bit": (
+            [
+                make_panel(
+                    "T3_1",
+                    [0.9741862047140378, 0.8047834047986143, 0.7956842117870406, 0.0],
+                    [1.0] * 4,
+                )
+            ],
+            "",
+        ),
+        "one_decade": ([make_panel("T3_1", [1e-8, 1e-8], [1e-8, np.nan])], ""),
+        "one_point": ([make_panel("T3_1", [1e-9], [1e-8])], "one point"),
+        "no_bound": ([make_panel("T3_2", [1e-9, 1e-10, np.nan], [np.nan] * 3)], ""),
+        "all_nan": ([make_panel("T3_2", [np.nan] * 2, [np.nan] * 2)], ""),
+        "indices_to_39999": (
+            [
+                FigurePanel("a", "T3_4", ell, ell[::-1], obs, bound),
+                make_panel("T2_gen", [1e-3], [1.0], name="b"),
+            ],
+            "long",
+        ),
+        "title_escapes": (
+            [make_panel("T2_gen", [1e-9], [1e-8], name="a<&>")],
+            'fig <1> & "2"',
+        ),
+    }
+
+
+EDGE_CASES = _edge_cases()
+
+
+def assert_emitters_match_reference(tmp_path, panels, title):
+    emit_csv(panels, tmp_path / "new.csv")
+    _reference_emit_csv(panels, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    emit_svg(panels, tmp_path / "new.svg", title=title)
+    _reference_emit_svg(panels, tmp_path / "ref.svg", title=title)
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
 class TestConfig:
@@ -223,19 +481,26 @@ class TestCSV:
 
 
 class TestSVG:
-    def test_valid_xml_and_point_count(self, tmp_path, fig1_panels):
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_valid_xml_and_point_count(self, tmp_path, figure_panels, figure):
+        panels = figure_panels[figure]
         path = tmp_path / "fig.svg"
-        emit_svg(fig1_panels, path, title="smoke")
+        emit_svg(panels, path, title="smoke")
         tree = ET.parse(path)
         ns = {"svg": "http://www.w3.org/2000/svg"}
         circles = tree.findall(".//svg:circle", ns)
-        rel_points = [
-            c for c in circles if c.attrib.get("class") == "pt-rel"
-        ]
-        defined = sum(int(np.count_nonzero(~np.isnan(p.observed))) for p in fig1_panels)
-        assert len(rel_points) == defined
-        lev_points = [c for c in circles if c.attrib.get("class") == "pt-lev"]
-        assert len(lev_points) == 1000
+        scores = [p for p in panels if p.theorem == experiments.SCORES_TAG]
+        diffs = [p for p in panels if p.theorem != experiments.SCORES_TAG]
+        classes = (("pt-lev", "ell", scores), ("pt-rel", "observed", diffs))
+        for cls, column, group in classes:
+            drawn = [c for c in circles if c.attrib.get("class") == cls]
+            defined = sum(
+                int(np.count_nonzero(~np.isnan(getattr(p, column)))) for p in group
+            )
+            assert len(drawn) == defined, cls
+        with_bound = [p for p in diffs if not np.all(np.isnan(p.bound))]
+        assert with_bound == diffs
+        assert len(tree.findall(".//svg:polyline", ns)) == len(with_bound)
 
     def test_zero_clipped_to_floor(self, tmp_path):
         panel = make_panel("T3_4", [0.0, 1e-8], [1e-7, 1e-7])
@@ -250,6 +515,31 @@ class TestSVG:
         assert len(circles) == 2  # the zero is drawn, clipped to the floor
         ys = [float(c.attrib["cy"]) for c in circles]
         assert ys[0] > ys[1]  # clipped zero sits below the 1e-8 point
+
+
+class TestReferenceEmitters:
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_panels_byte_identical(self, tmp_path, case):
+        panels, title = EDGE_CASES[case]
+        assert_emitters_match_reference(tmp_path, panels, title)
+
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_figures_byte_identical(self, tmp_path, figure_panels, figure):
+        assert_emitters_match_reference(
+            tmp_path, figure_panels[figure], f"{figure} (seed {SEED})"
+        )
+
+    def test_written_names_and_tags_need_no_quoting(self, figure_panels):
+        # emit_csv writes fields unquoted, so none may hold a CSV special.
+        panels = [p for group in figure_panels.values() for p in group]
+        panels += fig4_panels(SEED, (bound_t3_3,))[0]
+        q = np.eye(4)[:, :2]
+        t1 = bound_t1(np.full(4, 0.5), principal_angles(q, q)).theorem
+        written = {p.name for p in panels} | {p.theorem for p in panels} | {t1}
+        assert {"levscores", "T1_abs", "C1_rel", "T2_gen", "T2_perp", "T3_1",
+                "T3_2", "T3_3", "T3_4"} <= written
+        for text in written:
+            assert not set(text) & set(',"\r\n'), text
 
 
 class TestRunFigure:
