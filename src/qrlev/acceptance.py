@@ -46,7 +46,13 @@ from .generate import (
     randsvd_matrix,
 )
 from .leverage import full_rank_qr, leverage_from_basis, matrix_stats
-from .linalg import fro_norm, householder_qr, project_complement, solve_upper
+from .linalg import (
+    blas_threads,
+    fro_norm,
+    householder_qr,
+    project_complement,
+    solve_upper,
+)
 from .perturb import measure, rotation_perturbation
 
 DEFAULT_SEED = 42
@@ -483,21 +489,25 @@ CRITERIA = (
 
 
 def run_all(seed=DEFAULT_SEED):
-    """Run every acceptance criterion; returns a list of results."""
-    # One fig4 run serves criterion 6's T3_2 and T3_3 checks and criterion 9.
-    fig4, fig4_t3_3 = fig4_panels(seed, (bound_t3_2, bound_t3_3))
-    ctx = {
-        "seed": seed,
-        "figures": {"fig4": {p.name: p for p in fig4}},
-        "ensemble": _build_ensemble(seed),
-        "fig4_t3_3": {p.name: p for p in fig4_t3_3},
-    }
-    results = []
-    for number, fn in enumerate(CRITERIA, start=1):
-        try:
-            results.append(fn(ctx))
-        except Exception as exc:  # a crashed criterion is a failed criterion
-            results.append(
-                CriterionResult(number, fn.__doc__.split(".")[0], False, repr(exc))
-            )
+    """
+    Run every acceptance criterion; returns a list of results. Runs at
+    one BLAS thread (linalg.blas_threads).
+    """
+    with blas_threads(1):
+        # One fig4 run serves criterion 6's T3_2 and T3_3 checks and criterion 9.
+        fig4, fig4_t3_3 = fig4_panels(seed, (bound_t3_2, bound_t3_3))
+        ctx = {
+            "seed": seed,
+            "figures": {"fig4": {p.name: p for p in fig4}},
+            "ensemble": _build_ensemble(seed),
+            "fig4_t3_3": {p.name: p for p in fig4_t3_3},
+        }
+        results = []
+        for number, fn in enumerate(CRITERIA, start=1):
+            try:
+                results.append(fn(ctx))
+            except Exception as exc:  # a crashed criterion is a failed criterion
+                results.append(
+                    CriterionResult(number, fn.__doc__.split(".")[0], False, repr(exc))
+                )
     return results

@@ -46,7 +46,7 @@ from .experiments import (
 from .generate import GenSpec, generate, stepped_spec
 from .io import format_float, read_matrix, write_matrix
 from .leverage import full_rank_qr, leverage_from_basis, leverage_qr, matrix_stats
-from .linalg import RankDeficiencyError
+from .linalg import RankDeficiencyError, blas_threads
 from .perturb import make_perturbation, measure
 
 # Preset name -> sv_mode of the stepped recipe.
@@ -282,7 +282,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        with blas_threads(1):
+            return COMMANDS[args.command](args)
     except (
         ValueError,
         HypothesisError,

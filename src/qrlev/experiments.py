@@ -58,6 +58,7 @@ from .generate import (
 )
 from .io import format_float
 from .leverage import leverage_qr, matrix_stats
+from .linalg import blas_threads
 from .perturb import (
     componentwise_row_perturbation,
     measure,
@@ -370,17 +371,19 @@ def run_figure(cfg, assert_bounds=True, emit=True):
     """
     Run one figure end to end: compute panels, enforce the bound-holds
     invariant (unless disabled), and emit CSV and SVG into
-    cfg.output_dir. Returns (panels, csv_path, svg_path); the paths
-    are None when emit is False.
+    cfg.output_dir, at one BLAS thread (linalg.blas_threads). Returns
+    (panels, csv_path, svg_path); the paths are None when emit is
+    False.
     """
-    panels = FIGURE_RUNNERS[cfg.figure](cfg.seed)
-    if assert_bounds:
-        verify_rows(panels)
-    if not emit:
-        return panels, None, None
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.output_dir, f"{cfg.figure}.csv")
-    svg_path = os.path.join(cfg.output_dir, f"{cfg.figure}.svg")
-    emit_csv(panels, csv_path)
-    emit_svg(panels, svg_path, title=f"{cfg.figure} (seed {cfg.seed})")
+    with blas_threads(1):
+        panels = FIGURE_RUNNERS[cfg.figure](cfg.seed)
+        if assert_bounds:
+            verify_rows(panels)
+        if not emit:
+            return panels, None, None
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        csv_path = os.path.join(cfg.output_dir, f"{cfg.figure}.csv")
+        svg_path = os.path.join(cfg.output_dir, f"{cfg.figure}.svg")
+        emit_csv(panels, csv_path)
+        emit_svg(panels, svg_path, title=f"{cfg.figure} (seed {cfg.seed})")
     return panels, csv_path, svg_path

@@ -45,12 +45,15 @@ class MatrixStats:
 
 def leverage_from_basis(q):
     """
-    Leverage scores as squared row norms of an orthonormal basis.
+    Leverage scores as squared row norms of an orthonormal basis. A
+    square q spans the whole space, so every score is exactly 1.
 
     Raises ValueError (naming the Gram residual) if the columns of q
     are not orthonormal to within BASIS_TOL.
     """
     q = check_orthonormal(q, BASIS_TOL, "basis")
+    if q.shape[0] == q.shape[1]:
+        return np.ones(q.shape[0])
     return np.einsum("ij,ij->i", q, q)
 
 
@@ -62,13 +65,21 @@ def full_rank_qr(a):
     factor), so q @ svd_r.u holds the left singular vectors of a; rank
     deficiency raises RankDeficiencyError carrying the
     sigma_min/sigma_max ratio, and a nonzero dgejsv info raises
-    ConvergenceError.
+    ConvergenceError. A zero row of a has an exactly zero row of q.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
     if m < n:
         raise ValueError(f"need m >= n, got shape {a.shape}")
     q, r = householder_qr(a)
+    # q = a r**-1 makes a zero row of a a zero row of q. The reflectors
+    # keep such a row exactly zero past the first n rows but mix the
+    # first n, where round-off up to kappa2 * eps would give it a tiny
+    # positive score and an undefined bound on a defined relative
+    # change. Only the n x n head is tested, so tall inputs pay nothing.
+    head = a[:n]
+    if not head.all():
+        q[:n][~head.any(axis=1)] = 0.0
     svd_r = jacobi_svd(r)
     smax, smin = svd_r.sigma[0], svd_r.sigma[-1]
     if smax == 0.0 or smin <= RANK_TOL_FACTOR * m * smax:

@@ -4,7 +4,10 @@ norms, projector application, and triangular half-splitting.
 
 The QR runs in numpy's LAPACK (dgeqrf and dorgqr through
 np.linalg.qr), in the same OpenBLAS thread pool as numpy's matrix
-products, with its signs normalized so that diag(r) >= 0.
+products, with its signs normalized so that diag(r) >= 0. The entry
+points (acceptance.run_all, experiments.run_figure, cli.main) run
+inside blas_threads(1), which holds numpy's and scipy's OpenBLAS pools
+at one thread: at the lab's n <= 100 a second thread adds no speed.
 
 The SVD's n x n step runs in LAPACK's dgejsv, the preconditioned
 one-sided Jacobi SVD of Drmač and Veselić; a nonzero info from it
@@ -12,12 +15,16 @@ raises ConvergenceError. The pure-Python one-sided Jacobi kernel
 (_jacobi_kernel, with _complete_basis) stays as the tests' independent
 oracle for that step; no production path calls it.
 
-All functions are pure: inputs are never mutated, outputs are fresh
-arrays. Matrices are plain float64 2-d numpy arrays throughout.
+All functions but blas_pools and blas_threads are pure: inputs are
+never mutated, outputs are fresh arrays. Matrices are plain float64
+2-d numpy arrays throughout.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -392,3 +399,79 @@ def triu_half(z):
 def solve_upper(r, b, transpose=False):
     """Solve r x = b (or r^T x = b) for upper-triangular r."""
     return solve_triangular(r, b, trans="T" if transpose else "N", lower=False)
+
+
+# (get, set) thread-count symbols of an OpenBLAS build: numpy's copy
+# (64-bit integers), scipy's copy, and a system build.
+BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+class BlasPool(NamedTuple):
+    library: str                   # path of the loaded shared library
+    get: Callable[[], int]         # current thread count
+    set: Callable[[int], None]     # set the thread count
+
+
+@functools.cache
+def blas_pools():
+    """
+    The thread pools of the OpenBLAS libraries loaded in this process.
+
+    Found on first call, never at import: the libraries are read from
+    /proc/self/maps and each is bound through ctypes to the first pair
+    of BLAS_THREAD_SYMBOLS it exports. numpy and scipy (imported by
+    this module) have loaded theirs by then. Returns () where the map
+    is unreadable or no library exports a pair; a mapped file that
+    cannot be opened again (deleted since it was loaded) is skipped.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            maps = fh.read()
+    except OSError:
+        return ()
+    paths = sorted({
+        line.split()[-1] for line in maps.splitlines()
+        if "openblas" in line.lower() and ".so" in line
+    })
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append(BlasPool(path, get, set_))
+                break
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def blas_threads(k):
+    """
+    Run the body with every pool of blas_pools() at k threads.
+
+    On entry each pool's count is read and set to k; on exit, also when
+    the body raises, each is set back to what was read, so nesting
+    restores the outer value. Yields the pools it set; where none was
+    found it yields () and only runs the body. The counts are
+    process-global, so this is not safe across Python threads: two
+    threads inside it at once restore each other's counts in either
+    order.
+    """
+    pools = blas_pools()
+    saved = [pool.get() for pool in pools]
+    try:
+        for pool in pools:
+            pool.set(k)
+        yield pools
+    finally:
+        for pool, count in zip(pools, saved):
+            pool.set(count)

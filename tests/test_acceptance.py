@@ -313,3 +313,37 @@ def test_ensemble_factors_each_matrix_once(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     assert len(acceptance._build_ensemble(acceptance.DEFAULT_SEED)) == size
     assert calls == {"householder_qr": size, "jacobi_svd": size}
+
+
+def test_run_all_runs_at_one_blas_thread_and_restores(monkeypatch, two_blas_threads):
+    # Stub the shared inputs; one criterion records the counts it sees
+    # and one crashes, which run_all reports as a failed criterion.
+    def counts():
+        return [pool.get() for pool in two_blas_threads]
+
+    seen = {}
+
+    def fig4_stub(seed, evaluators):
+        seen["fig4"] = counts()
+        return [], []
+
+    def recording(ctx):
+        """Records the thread counts."""
+        seen["criterion"] = counts()
+        return acceptance.CriterionResult(1, "records", True, "")
+
+    def crashing(ctx):
+        """Crashes. Always."""
+        raise RuntimeError("criterion crashed")
+
+    monkeypatch.setattr(acceptance, "fig4_panels", fig4_stub)
+    monkeypatch.setattr(acceptance, "_build_ensemble", lambda seed: [])
+    monkeypatch.setattr(acceptance, "CRITERIA", (recording, crashing))
+    results = acceptance.run_all(seed=0)
+    one = [1] * len(two_blas_threads)
+    assert seen == {"fig4": one, "criterion": one}
+    assert [(r.number, r.name, r.passed) for r in results] == [
+        (1, "records", True), (2, "Crashes", False)
+    ]
+    assert "criterion crashed" in results[1].detail
+    assert counts() == [2] * len(two_blas_threads)

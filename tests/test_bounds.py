@@ -26,8 +26,21 @@ from qrlev.bounds import (
     sandwich_holds,
 )
 from qrlev.generate import gaussian_matrix, random_orthonormal, randsvd_matrix
-from qrlev.leverage import MatrixStats, full_rank_qr, leverage_from_basis, matrix_stats
-from qrlev.linalg import fro_norm, householder_qr, project_complement, solve_upper, triu_half
+from qrlev.leverage import (
+    MatrixStats,
+    full_rank_qr,
+    leverage_from_basis,
+    leverage_qr,
+    matrix_stats,
+)
+from qrlev.linalg import (
+    RankDeficiencyError,
+    fro_norm,
+    householder_qr,
+    project_complement,
+    solve_upper,
+    triu_half,
+)
 from qrlev.perturb import PerturbationMetrics, measure, normwise_perturbation
 
 
@@ -567,3 +580,74 @@ class TestDeltaQFirstOrder:
             assert counts == {"full_rank_qr": 2, "solve_upper": 3}
         rr, _ = formula(a, direction)
         assert rdot_rinv(a, direction).tobytes() == rr.tobytes()
+
+
+# Each evaluator on the scores, stats and metrics of one (a, delta).
+EDGE_EVALUATORS = {
+    "T2": bound_t2,
+    "T3_1": lambda lev, stats, metrics: (bound_t3_1(lev, stats, metrics),),
+    "T3_2": lambda lev, stats, metrics: (bound_t3_2(stats, metrics),),
+    "T3_3": lambda lev, stats, metrics: (bound_t3_3(stats, metrics),),
+}
+
+
+def _edge_pair(shape, scale=1.0, zero_row=False, eps=1e-8):
+    """kappa2 = 1e3 (a Gaussian column at n = 1) and a Gaussian delta, eps_f ~ eps."""
+    m, n = shape
+    rng = np.random.default_rng(4)
+    a = randsvd_matrix(m, n, 1e3, rng) if n > 1 else rng.standard_normal((m, n))
+    if zero_row:
+        a[2] = 0.0
+    delta = np.random.default_rng(5).standard_normal((m, n))
+    delta *= eps * fro_norm(a) / fro_norm(delta)
+    return scale * a, scale * delta
+
+
+class TestEdgeShapes:
+    # n = 1, m = n, m = 2n, a zero row, and entries near 1e+-200.
+    CASES = [
+        ((shape, scale, zero_row), f"{shape[0]}x{shape[1]}-{scale:g}" + ("-zero-row" * zero_row))
+        for shape in [(7, 1), (6, 6), (12, 6), (50, 25)]
+        for scale in [1.0, 1e200, 1e-200]
+        for zero_row in ([False, True] if shape[0] > shape[1] else [False])
+    ]
+
+    @pytest.mark.parametrize("tag", sorted(EDGE_EVALUATORS))
+    @pytest.mark.parametrize("case", [c for c, _ in CASES], ids=[i for _, i in CASES])
+    def test_bound_is_finite_and_holds_where_defined(self, case, tag):
+        a, delta = _edge_pair(*case)
+        lev, lev_tilde = leverage_qr(a), leverage_qr(a + delta)
+        for report in EDGE_EVALUATORS[tag](lev, matrix_stats(a), measure(a, delta)):
+            obs = observed(report.theorem, lev, lev_tilde)
+            bound = report.per_index_bound
+            defined = ~np.isnan(obs)
+            # Undefined (NaN) on a zero row of a, on both sides alike.
+            np.testing.assert_array_equal(np.isnan(bound), ~defined)
+            assert np.all(np.isfinite(bound[defined]))
+            assert np.all(obs[defined] <= bound[defined]), (obs / bound).max()
+
+    @pytest.mark.parametrize("case", [c for c, _ in CASES], ids=[i for _, i in CASES])
+    def test_rdot_rinv_is_finite_and_within_its_norm_bound(self, case):
+        a, delta = _edge_pair(*case)
+        stats = matrix_stats(a)
+        rr = rdot_rinv(a, delta)
+        assert np.all(np.isfinite(rr))
+        assert fro_norm(rr) <= np.sqrt(2.0 * stats.stable_rank) * stats.kappa2
+
+    @pytest.mark.parametrize("tag", sorted(EDGE_EVALUATORS))
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_too_large_a_perturbation_raises_hypothesis_error(self, tag, scale):
+        # m = 2n at kappa2 = 1e3 and eps_f = 0.1: kappa2 eps_2 is far above 1.
+        a, delta = _edge_pair((12, 6), scale, eps=0.1)
+        lev = leverage_qr(a)
+        with pytest.raises(HypothesisError, match=tag):
+            EDGE_EVALUATORS[tag](lev, matrix_stats(a), measure(a, delta))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_zero_column_raises_rank_deficiency_error(self, scale):
+        a, delta = _edge_pair((12, 6), scale)
+        a[:, 3] = 0.0
+        for fn in (leverage_qr, matrix_stats, lambda x: measure(x, delta),
+                   lambda x: rdot_rinv(x, delta)):
+            with pytest.raises(RankDeficiencyError):
+                fn(a)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from qrlev import cli
 from qrlev.cli import _componentwise_eta, main
 from qrlev.generate import GenSpec, random_orthonormal, stepped_orthonormal
 from qrlev.io import read_matrix, write_matrix
@@ -497,3 +498,26 @@ class TestUsage:
             run(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_command_runs_at_one_blas_thread_and_restores(
+        self, tmp_path, monkeypatch, capsys, two_blas_threads, fails
+    ):
+        # The failing read takes main's exit-1 path.
+        seen = []
+
+        def read(path):
+            seen.append([pool.get() for pool in two_blas_threads])
+            if fails:
+                raise OSError(f"cannot read {path}")
+            return np.eye(3)
+
+        monkeypatch.setattr(cli, "read_matrix", read)
+        code = run(["levscores", "a.txt", "--out", str(tmp_path / "lev.csv")])
+        assert code == (1 if fails else 0)
+        if fails:
+            assert "qrlev levscores: cannot read a.txt" in capsys.readouterr().err
+        assert seen == [[1] * len(two_blas_threads)]
+        assert [pool.get() for pool in two_blas_threads] == [2] * len(two_blas_threads)

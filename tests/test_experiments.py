@@ -576,6 +576,40 @@ class TestRunFigure:
             name = figure + suffix
             assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="one CPU: no second BLAS thread")
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_two_blas_threads_match_committed_demos_out(
+        self, tmp_path, figure, two_blas_threads
+    ):
+        # run_figure holds one thread, so compute and emit outside it.
+        panels = FIGURE_RUNNERS[figure](SEED)
+        assert [pool.get() for pool in two_blas_threads] == [2] * len(two_blas_threads)
+        emit_csv(panels, tmp_path / f"{figure}.csv")
+        emit_svg(panels, tmp_path / f"{figure}.svg", title=f"{figure} (seed {SEED})")
+        for suffix in (".csv", ".svg"):
+            name = figure + suffix
+            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_runs_at_one_blas_thread_and_restores(self, monkeypatch, two_blas_threads, fails):
+        seen = []
+
+        def runner(seed):
+            seen.append([pool.get() for pool in two_blas_threads])
+            if fails:
+                raise RuntimeError("runner failed")
+            return []
+
+        monkeypatch.setitem(FIGURE_RUNNERS, "fig1", runner)
+        cfg = ExperimentConfig(figure="fig1", seed=SEED)
+        if fails:
+            with pytest.raises(RuntimeError, match="runner failed"):
+                run_figure(cfg, emit=False)
+        else:
+            assert run_figure(cfg, emit=False) == ([], None, None)
+        assert seen == [[1] * len(two_blas_threads)]
+        assert [pool.get() for pool in two_blas_threads] == [2] * len(two_blas_threads)
+
     def test_deterministic_bytes(self, tmp_path):
         blobs = []
         for sub in ("one", "two"):

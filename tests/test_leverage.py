@@ -51,6 +51,16 @@ class TestLeverageFromBasis:
         with pytest.raises(ValueError, match="Gram residual"):
             leverage_from_basis(np.ones((4, 2)))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 25])
+    def test_square_basis_scores_exactly_one(self, n):
+        # A square basis spans the whole space; its squared row norms
+        # alone would miss 1 by round-off, and a non-basis is still
+        # rejected.
+        q = random_orthonormal(n, n, np.random.default_rng(n))
+        np.testing.assert_array_equal(leverage_from_basis(q), np.ones(n))
+        with pytest.raises(ValueError, match="Gram residual"):
+            leverage_from_basis(2.0 * q)
+
 
 class TestLeverageQR:
     def test_scaled_identity_columns(self):
@@ -101,12 +111,15 @@ class TestEdgeShapes:
 
     @pytest.mark.parametrize("n", range(2, 26))
     def test_square_scores_exceed_one_by_at_most_n_eps(self, n):
-        # Every exact score of a square full-rank matrix is 1; the
-        # computed ones overshoot by round-off only (worst seen:
-        # 1 + 4 eps at n = 4, 1 + 8.9e-16 at n = 25).
+        # Every exact score of a square full-rank matrix is 1, and the
+        # QR route returns exactly that. The SVD route's row norms
+        # overshoot by round-off only (worst seen: 1 + 4 eps at n = 4,
+        # 1 + 8.9e-16 at n = 25).
         eps = np.finfo(np.float64).eps
         for seed in range(5):
-            lev = leverage_qr(np.random.default_rng(seed).standard_normal((n, n)))
+            a = np.random.default_rng(seed).standard_normal((n, n))
+            assert np.all(leverage_qr(a) == 1.0)
+            lev = leverage_svd(a)
             assert np.all(lev >= 0.0)
             assert np.all(lev <= 1.0 + n * eps), (seed, lev.max() - 1.0)
 
@@ -173,12 +186,18 @@ class TestEdgeShapes:
         assert leverage_qr(a)[row] == 0.0
 
     @pytest.mark.parametrize("row", [0, 1, 2])
-    def test_zero_row_among_first_n_scores_at_round_off(self, row):
-        # The Householder reflectors mix the first n rows, so the score
-        # is round-off (up to about 5e-32 here), not an exact zero.
+    def test_zero_row_among_first_n_scores_exactly_zero(self, row):
+        # The Householder reflectors mix the first n rows, so q's row is
+        # round-off there, up to about kappa2 * eps (2e-9 at kappa2 =
+        # 1e8); full_rank_qr zeroes it, as q = a r**-1 does exactly.
+        for kappa in (1e3, 1e8):
+            a = randsvd_matrix(10, 3, kappa, np.random.default_rng(0))
+            a[row] = 0.0
+            assert leverage_qr(a)[row] == 0.0
+            assert not full_rank_qr(a)[0][row].any()
         a = np.random.default_rng(0).standard_normal((10, 3))
         a[row] = 0.0
-        assert 0.0 <= leverage_qr(a)[row] <= 1e-30
+        assert leverage_qr(a)[row] == 0.0
 
     @pytest.mark.parametrize(("factor", "full_rank"), [(0.5, False), (2.0, True)])
     def test_rank_threshold(self, factor, full_rank):

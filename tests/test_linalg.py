@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -586,3 +587,53 @@ def test_no_production_path_runs_the_python_kernel(monkeypatch):
     leverage_svd(a)
     q = householder_qr(a).q
     principal_angles(q, householder_qr(a + delta).q)
+
+
+def _counts(pools):
+    return [pool.get() for pool in pools]
+
+
+class TestBlasThreads:
+    def test_finds_numpy_openblas_pool(self):
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+        if sys.platform != "linux" or "openblas" not in blas:
+            pytest.skip(f"discovery reads /proc/self/maps; numpy's BLAS is {blas}")
+        pools = linalg.blas_pools()
+        assert pools
+        assert all(count >= 1 for count in _counts(pools))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_count_inside_is_k_and_restored_on_exit(self, two_blas_threads, k):
+        with linalg.blas_threads(k) as pools:
+            assert pools == linalg.blas_pools()
+            assert _counts(pools) == [k] * len(pools)
+        assert _counts(two_blas_threads) == [2] * len(two_blas_threads)
+
+    def test_restored_after_an_exception_inside(self, two_blas_threads):
+        with pytest.raises(RuntimeError, match="inside"):
+            with linalg.blas_threads(1):
+                raise RuntimeError("inside")
+        assert _counts(two_blas_threads) == [2] * len(two_blas_threads)
+
+    @pytest.mark.parametrize("inner", [1, 2])
+    def test_nested_restores_the_outer_value(self, two_blas_threads, inner):
+        with linalg.blas_threads(1) as pools:
+            with linalg.blas_threads(inner):
+                assert _counts(pools) == [inner] * len(pools)
+            assert _counts(pools) == [1] * len(pools)
+        assert _counts(two_blas_threads) == [2] * len(two_blas_threads)
+
+    def test_no_op_when_no_library_exports_the_symbols(self, two_blas_threads, monkeypatch):
+        monkeypatch.setattr(
+            linalg, "BLAS_THREAD_SYMBOLS", (("no_such_get_threads", "no_such_set_threads"),)
+        )
+        linalg.blas_pools.cache_clear()
+        ran = []
+        try:
+            with linalg.blas_threads(1) as pools:
+                ran.append(pools)
+                assert _counts(two_blas_threads) == [2] * len(two_blas_threads)
+        finally:
+            linalg.blas_pools.cache_clear()
+        assert ran == [()]
+        assert _counts(two_blas_threads) == [2] * len(two_blas_threads)

@@ -1,8 +1,17 @@
-"""Each public name has one import path: its home module."""
+"""
+Each public name has one import path: its home module. Importing the
+package has no side effects on the BLAS thread pools, and only the
+entry points change them.
+"""
 
+import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +32,94 @@ def test_package_exposes_only_submodules_and_version():
     public = {n for n in vars(qrlev) if not n.startswith("_")}
     assert public == set(MODULES)
     assert qrlev.__version__ == "0.1.0"
+
+
+# Reads each loaded OpenBLAS pool's thread count without qrlev, imports
+# qrlev and every submodule, and reads the counts again.
+IMPORT_PROBE = r"""
+import ctypes, importlib, json, pkgutil
+
+import numpy
+import scipy.linalg
+
+
+def counts():
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh
+                        if "openblas" in line.lower() and ".so" in line})
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                found.append(getattr(lib, name)())
+                break
+    return found
+
+
+before = counts()
+import qrlev
+for module in pkgutil.iter_modules(qrlev.__path__):
+    importlib.import_module("qrlev." + module.name)
+print(json.dumps({
+    "before": before,
+    "after": counts(),
+    "discoveries": qrlev.linalg.blas_pools.cache_info().misses,
+}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the probe reads /proc/self/maps")
+def test_import_leaves_blas_threads_alone_and_discovers_nothing():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    if not probe["before"]:
+        pytest.skip("no OpenBLAS library loaded")
+    assert probe["after"] == probe["before"]
+    assert probe["discoveries"] == 0
+
+
+# The three entry points, as (module, enclosing function).
+BLAS_THREADS_ENTRY_POINTS = [
+    ("acceptance", "run_all"),
+    ("cli", "main"),
+    ("experiments", "run_figure"),
+]
+
+
+def _blas_threads_calls(module):
+    """(module, enclosing function, entered by a with, args) per blas_threads call."""
+    tree = ast.parse((Path(qrlev.__path__[0]) / f"{module}.py").read_text())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    entered = {
+        item.context_expr
+        for node in ast.walk(tree) if isinstance(node, ast.With)
+        for item in node.items
+    }
+    calls = []
+    for node in ast.walk(tree):
+        callee = getattr(node, "func", None)
+        if (getattr(callee, "id", None) or getattr(callee, "attr", None)) != "blas_threads":
+            continue
+        func = parents.get(node)
+        while func is not None and not isinstance(func, ast.FunctionDef):
+            func = parents.get(func)
+        calls.append((
+            module,
+            func.name if func else None,
+            node in entered,
+            [ast.literal_eval(arg) for arg in node.args],
+        ))
+    return calls
+
+
+def test_blas_threads_entered_only_at_the_entry_points():
+    calls = sorted(call for module in MODULES for call in _blas_threads_calls(module))
+    assert calls == [(module, func, True, [1]) for module, func in BLAS_THREADS_ENTRY_POINTS]
