@@ -117,7 +117,8 @@ def criterion_2(ctx):
     The SVD route is not independent of the QR: its scores are the row
     norms of Q U_r, where U_r comes from the Jacobi SVD of the same
     Householder R. The check therefore covers the Jacobi step and the
-    Q U_r product, not the range of Q (ROADMAP item 4).
+    Q U_r product, not the range of Q; tests/test_linalg.py checks the
+    range against a Python Jacobi SVD of A itself.
     """
     worst_oracle = max(d for _, d, _, _ in ctx["ensemble"])
     worst_basis = max(b for _, _, b, _ in ctx["ensemble"])

@@ -11,9 +11,7 @@ at one thread: at the lab's n <= 100 a second thread adds no speed.
 
 The SVD's n x n step runs in LAPACK's dgejsv, the preconditioned
 one-sided Jacobi SVD of Drmač and Veselić; a nonzero info from it
-raises ConvergenceError. The pure-Python one-sided Jacobi kernel
-(_jacobi_kernel, with _complete_basis) stays as the tests' independent
-oracle for that step; no production path calls it.
+raises ConvergenceError.
 
 All functions but blas_pools and blas_threads are pure: inputs are
 never mutated, outputs are fresh arrays. Matrices are plain float64
@@ -38,11 +36,6 @@ ORTH_TOL = 1e-13
 # scores, principal angles, rotations). Looser than the QR kernel's own
 # guarantee so externally produced bases pass.
 BASIS_TOL = 1e-10
-
-# The oracle kernel's relative threshold on off-diagonal Gram entries,
-# and its hard sweep limit before giving up.
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 30
 
 
 class ConvergenceError(RuntimeError):
@@ -175,124 +168,6 @@ def householder_qr(a):
     q, r = np.linalg.qr(a)
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return ThinQR(q * signs, r * signs[:, None])
-
-
-def _jacobi_workspace(a):
-    """w = [a; I; g] with its row blocks u = a, v = I and g (unset)."""
-    m, n = a.shape
-    w = np.concatenate((a, np.eye(n), np.empty((n, n))))
-    return (w, *np.split(w, (m, m + n)))
-
-
-def _jacobi_kernel(a):
-    """
-    One-sided Jacobi sweeps on a matrix with m >= n columns: the test
-    oracle for jacobi_svd's dgejsv step, called by no production path.
-
-    Rotations are chosen to zero the off-diagonal Gram entries
-    u[:, p] . u[:, q]; a pair is skipped once its entry falls below
-    JACOBI_TOL relative to the diagonal. The Gram matrix is kept
-    current incrementally within a sweep and recomputed fresh at each
-    sweep start so accumulated round-off cannot fake convergence.
-    """
-    # u, v and the Gram matrix g are row blocks of one C-contiguous array
-    # w, so one in-place column rotation turns all three. u keeps the
-    # strides of a.copy() (same BLAS path for u.T @ u). The results are
-    # bit for bit those of rotating u, v and g's columns and then g's rows
-    # with fresh temporaries, because:
-    # - g is bitwise symmetric: u.T @ u is, and each rotation keeps it so.
-    #   Off the 2 x 2 block the row formula then rounds exactly as the
-    #   column formula, so g's new rows p and q are copies of its columns.
-    # - the 2 x 2 block is updated in Python floats from the old app, apq
-    #   and aqq; Python floats round as numpy float64 scalars do.
-    # - np.hypot stays: math.hypot differs in the last bit.
-    n = a.shape[1]
-    w, u, v, g = _jacobi_workspace(a)
-    cols, g_cols, g_rows = list(w.T), list(g.T), list(g)
-    sx, sy = np.empty(w.shape[0]), np.empty(w.shape[0])
-    for _ in range(JACOBI_MAX_SWEEPS):
-        g[:] = u.T @ u
-        rotated = False
-        for p in range(n - 1):
-            x, g_p = cols[p], g_rows[p]
-            for q_ in range(p + 1, n):
-                app, aqq, apq = g.item(p, p), g.item(q_, q_), g.item(p, q_)
-                if app == 0.0 or aqq == 0.0:
-                    continue
-                # Round-off can make prod < 0 mid-sweep: such pairs rotate.
-                prod = app * aqq
-                if prod >= 0.0 and abs(apq) <= JACOBI_TOL * math.sqrt(prod):
-                    continue
-                rotated = True
-                # apq == 0 here only if prod < 0; zeta is then infinite.
-                zeta = ((aqq - app) / (2.0 * apq) if apq
-                        else math.copysign(math.inf, (aqq - app) * apq))
-                t = (math.copysign(1.0, zeta)
-                     / (abs(zeta) + float(np.hypot(1.0, zeta)))
-                     if zeta != 0.0 else 1.0)
-                c = 1.0 / float(np.hypot(1.0, t))
-                s = c * t
-                # x, y <- c*x - s*y, s*x + c*y, each product rounded once.
-                y, g_q = cols[q_], g_rows[q_]
-                np.multiply(x, s, out=sx)
-                np.multiply(y, s, out=sy)
-                x *= c
-                x -= sy
-                y *= c
-                y += sx
-                g_p[...] = g_cols[p]
-                g_q[...] = g_cols[q_]
-                g_p[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
-                g_q[q_] = c * (c * aqq + s * apq) + s * (c * apq + s * app)
-                g_p[q_] = g_q[p] = 0.0
-        if not rotated:
-            break
-    else:
-        raise ConvergenceError(
-            f"Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    sigma = np.linalg.norm(u, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    u, v = u[:, order], v[:, order]
-
-    # Normalize columns; complete an orthonormal basis where sigma == 0.
-    nonzero = sigma > 0.0
-    u[:, nonzero] /= sigma[nonzero]
-    if not nonzero.all():
-        u = _complete_basis(u, np.flatnonzero(~nonzero))
-    return u, sigma, v
-
-
-def _complete_basis(u, missing):
-    """Fill the listed columns with unit vectors orthogonal to the rest."""
-    u = u.copy()
-    m = u.shape[0]
-    have = [u[:, j] for j in range(u.shape[1]) if j not in set(missing)]
-    for j in missing:
-        best = None
-        for k in range(m):
-            cand = np.zeros(m)
-            cand[k] = 1.0
-            for w in have:
-                cand -= (w @ cand) * w
-            norm = np.linalg.norm(cand)
-            if norm > 0.5:
-                break
-            if best is None or norm > best[1]:
-                best = cand, norm
-        else:
-            # No unit vector keeps half its length. The one that keeps the
-            # most keeps at least 1/sqrt(m): orthogonalize it once more.
-            cand = best[0]
-            for w in have:
-                cand -= (w @ cand) * w
-            norm = np.linalg.norm(cand)
-        cand /= norm
-        u[:, j] = cand
-        have.append(cand)
-    return u
 
 
 def _dgejsv(a):

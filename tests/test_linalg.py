@@ -1,12 +1,13 @@
+import importlib
 import math
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 
+import qrlev
 from qrlev import linalg
-from qrlev.angles import principal_angles
-from qrlev.experiments import ExperimentConfig, run_figure
 from qrlev.generate import (
     random_orthonormal,
     randsvd_matrix,
@@ -14,7 +15,7 @@ from qrlev.generate import (
     stepped_illconditioned,
     stepped_orthonormal,
 )
-from qrlev.leverage import leverage_svd, matrix_stats
+from qrlev.leverage import leverage_qr, matrix_stats
 from qrlev.linalg import (
     ConvergenceError,
     as_matrix,
@@ -28,7 +29,6 @@ from qrlev.linalg import (
     triu_half,
     two_norm,
 )
-from qrlev.perturb import measure
 
 # 4 x 2 matrix with orthonormal columns and equal leverage scores 1/2;
 # also the base matrix of the projected-row counterexample.
@@ -334,7 +334,8 @@ def _stepped_inputs():
     return cases
 
 
-ORACLE_QR_INPUTS = {**QR_INPUTS, **_stepped_inputs()}
+STEPPED_INPUTS = _stepped_inputs()
+ORACLE_QR_INPUTS = {**QR_INPUTS, **STEPPED_INPUTS}
 
 
 @pytest.mark.skipif(
@@ -371,28 +372,42 @@ def test_householder_qr_matches_longdouble_reference(name):
     assert np.all(np.abs(lev - lev_ref) <= tol), name
 
 
+# The oracle kernel's relative threshold on off-diagonal Gram entries,
+# and its hard sweep limit before giving up.
+JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 30
+
+
 def _reference_kernel(a):
     """
-    The rotation-by-rotation one-sided Jacobi kernel that
-    linalg._jacobi_kernel must reproduce bit for bit: u, v and the
-    Gram matrix are separate arrays, each rotated with fresh temporaries.
+    One-sided Jacobi SVD (u, sigma, v) of a matrix with m >= n, rotation
+    by rotation: the tests' oracle for jacobi_svd's dgejsv step and for
+    leverage_qr. u, v and the Gram matrix are separate arrays, each
+    rotated with fresh temporaries.
+
+    Rotations are chosen to zero the off-diagonal Gram entries
+    u[:, p] . u[:, q]; a pair is skipped once its entry falls below
+    JACOBI_TOL relative to the diagonal. The Gram matrix is kept
+    current incrementally within a sweep and recomputed fresh at each
+    sweep start so accumulated round-off cannot fake convergence.
     """
     n = a.shape[1]
     u = a.copy()
     v = np.eye(n)
-    for _ in range(linalg.JACOBI_MAX_SWEEPS):
+    for _ in range(JACOBI_MAX_SWEEPS):
         g = u.T @ u
         rotated = False
         for p in range(n - 1):
             for q_ in range(p + 1, n):
                 app, aqq, apq = g[p, p], g[q_, q_], g[p, q_]
-                if app == 0.0 or aqq == 0.0:
+                # On rank-deficient inputs round-off can drive a tracked
+                # diagonal entry below zero mid-sweep: that pair is done.
+                if app <= 0.0 or aqq <= 0.0 or apq == 0.0:
                     continue
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    if abs(apq) <= linalg.JACOBI_TOL * np.sqrt(app * aqq):
-                        continue
-                    rotated = True
-                    zeta = (aqq - app) / (2.0 * apq)
+                if abs(apq) <= JACOBI_TOL * np.sqrt(app * aqq):
+                    continue
+                rotated = True
+                zeta = (aqq - app) / (2.0 * apq)
                 if zeta == 0.0:
                     t = 1.0
                 else:
@@ -417,7 +432,9 @@ def _reference_kernel(a):
         if not rotated:
             break
     else:
-        raise ConvergenceError("reference kernel did not converge")
+        raise ConvergenceError(
+            f"Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+        )
     sigma = np.linalg.norm(u, axis=0)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
@@ -426,8 +443,38 @@ def _reference_kernel(a):
     nonzero = sigma > 0.0
     u[:, nonzero] /= sigma[nonzero]
     if not nonzero.all():
-        u = linalg._complete_basis(u, np.flatnonzero(~nonzero))
+        u = _complete_basis(u, np.flatnonzero(~nonzero))
     return u, sigma, v
+
+
+def _complete_basis(u, missing):
+    """Fill the listed columns with unit vectors orthogonal to the rest."""
+    u = u.copy()
+    m = u.shape[0]
+    have = [u[:, j] for j in range(u.shape[1]) if j not in set(missing)]
+    for j in missing:
+        best = None
+        for k in range(m):
+            cand = np.zeros(m)
+            cand[k] = 1.0
+            for w in have:
+                cand -= (w @ cand) * w
+            norm = np.linalg.norm(cand)
+            if norm > 0.5:
+                break
+            if best is None or norm > best[1]:
+                best = cand, norm
+        else:
+            # No unit vector keeps half its length. The one that keeps the
+            # most keeps at least 1/sqrt(m): orthogonalize it once more.
+            cand = best[0]
+            for w in have:
+                cand -= (w @ cand) * w
+            norm = np.linalg.norm(cand)
+        cand /= norm
+        u[:, j] = cand
+        have.append(cand)
+    return u
 
 
 def _kernel_inputs():
@@ -448,7 +495,7 @@ def _kernel_inputs():
         q2 = random_orthonormal(60, k, rng)
         cases[f"q1.T @ q2, k={k}"] = q1.T @ q2
     # Rank deficient: round-off drives a tracked Gram diagonal below
-    # zero mid-sweep, and a pair with a zero Gram entry then rotates.
+    # zero mid-sweep, where the oracle must leave the pair alone.
     for seed, n in ((22, 3), (13, 4)):
         dup = np.random.default_rng(seed).standard_normal((n, n))
         dup[:, 1] = 3.0 * dup[:, 0]
@@ -487,37 +534,58 @@ KERNEL_INPUTS = {**_kernel_inputs(), **_kernel_sweep()}
 
 @pytest.mark.parametrize("name", list(KERNEL_INPUTS))
 def test_jacobi_kernel_byte_identical_to_reference(name):
+    # Named for the bitwise comparison with a second, in-place copy of
+    # this kernel that linalg once carried. With one copy left, it checks
+    # that the oracle is an SVD, with tolerances from the dtype and the
+    # stopping rule:
+    # - each column takes at most JACOBI_MAX_SWEEPS (n - 1) rotations,
+    #   each within 6u of an exact rotation of its pair, so V and U Sigma
+    #   are within `rounding` per column of an orthogonal W and of a @ W.
+    #   That bounds the reconstruction by (1 + sqrt(n)) rounding and V's
+    #   Gram residual by 2 sqrt(n) rounding;
+    # - the last sweep rotated nothing, so U's normalized columns are
+    #   orthogonal within JACOBI_TOL plus the rounding of u.T @ u and of
+    #   the column norms, 2 (m + 2) u.
     a = KERNEL_INPUTS[name]
-    got = linalg._jacobi_kernel(a.copy())
-    want = _reference_kernel(a.copy())
-    for label, x, y in zip(("u", "sigma", "v"), got, want):
-        assert x.shape == y.shape, label
-        assert x.tobytes() == y.tobytes(), f"{label} differs on {name}"
+    m, n = a.shape
+    u, sigma, v = _reference_kernel(a)
+    rounding = 6 * UNIT_ROUNDOFF * JACOBI_MAX_SWEEPS * n
+    assert fro_norm(a - (u * sigma) @ v.T) <= (1 + math.sqrt(n)) * rounding * fro_norm(a)
+    assert gram_residual(v) <= 2 * math.sqrt(n) * rounding
+    assert gram_residual(u) <= n * (JACOBI_TOL + 2 * (m + 2) * UNIT_ROUNDOFF)
+    assert np.all(np.diff(sigma) <= 0.0) and np.all(sigma >= 0.0)
 
 
 @pytest.mark.parametrize("name", list(KERNEL_INPUTS))
 def test_gram_matrix_is_bitwise_symmetric_in_the_kernel_layout(name):
-    # _jacobi_kernel writes g's rotated columns into its rows, which
-    # gives the row rotation's bits only while g is bitwise symmetric.
+    # The Gram matrix each oracle sweep starts from, u.T @ u, comes out
+    # of BLAS bitwise symmetric, square and stacked 2n x n.
     rng = np.random.default_rng(5)
     a = KERNEL_INPUTS[name]
-    for u0 in (a, np.vstack((a, rng.standard_normal(a.shape)))):
-        w, u, v, g = linalg._jacobi_workspace(u0.copy())
-        g[:] = u.T @ u
+    for u in (a, np.vstack((a, rng.standard_normal(a.shape)))):
+        g = u.T @ u
         assert g.tobytes() == g.T.copy().tobytes(), (
-            f"u.T @ u is not bitwise symmetric on {name} {u0.shape}: "
-            "the kernel's row copy of the Gram matrix relies on it"
+            f"u.T @ u is not bitwise symmetric on {name} {u.shape}"
         )
 
 
 def test_jacobi_convergence_error_at_sweep_limit(monkeypatch):
     # The limit is read at call time; one sweep cannot diagonalize the
-    # Gram matrix of a 25 x 25 Gaussian. jacobi_svd no longer sweeps,
-    # so the oracle kernel is called directly.
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    # Gram matrix of a 25 x 25 Gaussian.
+    monkeypatch.setitem(globals(), "JACOBI_MAX_SWEEPS", 1)
     a = np.random.default_rng(8).standard_normal((25, 25))
     with pytest.raises(ConvergenceError, match="1 sweeps"):
-        linalg._jacobi_kernel(a)
+        _reference_kernel(a)
+
+
+def test_no_module_holds_the_python_jacobi_kernel():
+    # The Python Jacobi kernel lives in this file only; the package's
+    # SVDs run in dgejsv.
+    kernel_names = {"_jacobi_kernel", "_jacobi_workspace", "_complete_basis",
+                    "JACOBI_TOL", "JACOBI_MAX_SWEEPS"}
+    for info in pkgutil.iter_modules(qrlev.__path__):
+        module = importlib.import_module(f"qrlev.{info.name}")
+        assert not kernel_names & set(vars(module)), info.name
 
 
 def _oracle_inputs():
@@ -554,11 +622,53 @@ def test_dgejsv_sigma_agrees_with_the_jacobi_kernel(name):
     m, n = a.shape
     r = householder_qr(a).r if m > n else a
     got = jacobi_svd(a).sigma
-    want = linalg._jacobi_kernel(r.copy())[1]
+    want = _reference_kernel(r)[1]
     tol = 4 * n * np.finfo(np.float64).eps
     assert np.all(np.abs(got - want) <= tol * want), (
         f"sigma differs on {name}: {got} vs {want}"
     )
+
+
+JACOBI_QR_INPUTS = {
+    **{name: QR_INPUTS[name] for name in ("n=1", "m=n", "m=2n")},
+    **STEPPED_INPUTS,
+}
+
+
+@pytest.mark.parametrize("name", list(JACOBI_QR_INPUTS))
+def test_leverage_qr_agrees_with_the_jacobi_oracle_on_a(name):
+    # An oracle that shares no code with the QR: the Python Jacobi SVD
+    # of a itself, whose U spans range(a). Householder QR's scores are
+    # exact for a matrix within relative two-norm distance eps = m n u of
+    # a. So are the oracle's: its rotations round by 6u each, n - 1 per
+    # column per sweep, which stays below eps over the 1 to 13 sweeps
+    # these inputs take (at m = n every score is 1 whatever the range).
+    # By T2_gen the two agree within twice
+    # (2 sqrt(l (1 - l)) + kappa2 eps) kappa2 eps. q is within eps of
+    # an orthonormal basis, which moves a squared row norm by at most
+    # (2 sqrt(l) + eps) eps, and the stopping rule leaves U's columns
+    # orthonormal within n JACOBI_TOL, which moves it by at most that
+    # times 2 sqrt(l).
+    a = JACOBI_QR_INPUTS[name]
+    m, n = a.shape
+    eps = m * n * UNIT_ROUNDOFF
+    ke = matrix_stats(a).kappa2 * eps
+    assert ke <= 0.5, "T2_gen's hypothesis fails; the tolerance says nothing"
+    u = _reference_kernel(a)[0]
+    lev_ref = np.einsum("ij,ij->i", u, u)
+    clipped = np.clip(lev_ref, 0.0, 1.0)
+    tol = (2.0 * (2.0 * np.sqrt(clipped * (1.0 - clipped)) + ke) * ke
+           + (2.0 * np.sqrt(clipped) + eps) * eps
+           + 2.0 * np.sqrt(clipped) * n * JACOBI_TOL)
+    lev = leverage_qr(a)
+    assert np.all(np.abs(lev - lev_ref) <= tol), (
+        f"worst |dl|/tol {np.max(np.abs(lev - lev_ref) / tol):.3g} on {name}"
+    )
+    # The check can fail: the index closest to its tolerance, moved 1%
+    # past it, fails it.
+    i = int(np.argmax(np.abs(lev - lev_ref) / tol))
+    lev[i] = lev_ref[i] + 1.01 * tol[i]
+    assert not np.all(np.abs(lev - lev_ref) <= tol)
 
 
 def test_dgejsv_info_raises_convergence_error(monkeypatch):
@@ -569,24 +679,6 @@ def test_dgejsv_info_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(linalg, "dgejsv", failing)
     with pytest.raises(ConvergenceError, match="info = 1"):
         jacobi_svd(np.random.default_rng(8).standard_normal((10, 4)))
-
-
-def test_no_production_path_runs_the_python_kernel(monkeypatch):
-    # The pure-Python kernel is the tests' oracle only; the SVDs of the
-    # figure, statistics, perturbation and angle paths run in dgejsv.
-    def forbidden(a):
-        raise AssertionError("the Python Jacobi kernel ran on a production path")
-
-    monkeypatch.setattr(linalg, "_jacobi_kernel", forbidden)
-    run_figure(ExperimentConfig(figure="fig2", seed=42), emit=False)
-    rng = np.random.default_rng(3)
-    a = stepped_illconditioned(rng)
-    delta = 1e-8 * rng.standard_normal(a.shape)
-    matrix_stats(a)
-    measure(a, delta)
-    leverage_svd(a)
-    q = householder_qr(a).q
-    principal_angles(q, householder_qr(a + delta).q)
 
 
 def _counts(pools):
