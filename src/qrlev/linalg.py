@@ -2,12 +2,15 @@
 Dense linear-algebra kernels: Householder QR, one-sided Jacobi SVD,
 norms, projector application, and triangular half-splitting.
 
-The QR runs in numpy's LAPACK (dgeqrf and dorgqr through
-np.linalg.qr), in the same OpenBLAS thread pool as numpy's matrix
-products, with its signs normalized so that diag(r) >= 0. The entry
-points (acceptance.run_all, experiments.run_figure, cli.main) run
-inside blas_threads(1), which holds numpy's and scipy's OpenBLAS pools
-at one thread: at the lab's n <= 100 a second thread adds no speed.
+The QR runs in scipy's LAPACK (dgeqrf and dorgqr through
+scipy.linalg.lapack), in scipy's OpenBLAS thread pool, with its signs
+normalized so that diag(r) >= 0. It takes the workspace LAPACK reports
+as optimal and returns q C-ordered, which keeps its bits those of
+numpy's own QR at one BLAS thread (householder_qr's Notes say why).
+The entry points (acceptance.run_all, experiments.run_figure,
+cli.main) run inside blas_threads(1), which holds numpy's and scipy's
+OpenBLAS pools at one thread: at the lab's n <= 100 a second thread
+adds no speed, and the two pools do not contend.
 
 The SVD's n x n step runs in LAPACK's dgejsv, the preconditioned
 one-sided Jacobi SVD of Drmač and Veselić; a nonzero info from it
@@ -26,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgejsv
+from scipy.linalg.lapack import dgejsv, dgeqrf, dgeqrf_lwork, dorgqr
 
 # Gram residual allowed for a matrix to count as orthonormal, relative
 # to the column count.
@@ -123,7 +126,7 @@ def _range_exponent(a):
     entries would overflow or underflow. Zero for ordinary
     magnitudes, so the common path is untouched bit for bit.
     """
-    peak = float(np.max(np.abs(a)))
+    peak = max(float(np.max(a)), -float(np.min(a)))
     if peak == 0.0 or 1e-150 < peak < 1e150:
         return 0
     return math.frexp(peak)[1]
@@ -147,13 +150,22 @@ def householder_qr(a):
 
     Notes
     -----
-    np.linalg.qr runs LAPACK's dgeqrf and dorgqr, the blocked form of
-    the same Householder algorithm, so its row-wise backward error
-    analysis (Higham, Accuracy and Stability, ch. 19; Cox and Higham
-    1998) holds. Column signs are then normalized so that
-    diag(r) >= 0, which makes the factorization of a full-rank matrix
-    unique; the sign flips are exact. Rank deficiency is not an error
-    here; it surfaces downstream via singular values of r.
+    LAPACK's dgeqrf and dorgqr, through scipy, run the blocked form of
+    the Householder algorithm, so its row-wise backward error analysis
+    (Higham, Accuracy and Stability, ch. 19; Cox and Higham 1998)
+    holds. Column signs are then normalized so that diag(r) >= 0, which
+    makes the factorization of a full-rank matrix unique; the sign
+    flips are exact. Rank deficiency is not an error here; it surfaces
+    downstream via singular values of r. A nonzero info from either
+    routine raises RuntimeError.
+
+    At one BLAS thread the bits equal those of numpy's own QR, which
+    calls the same pair, for two reasons. The workspace is the optimum
+    LAPACK reports, the one numpy queries too: scipy's default, 3n,
+    makes dgeqrf and dorgqr narrow their blocks for n > 128, which
+    changes the bits and runs about 2x slower. And q is returned
+    C-ordered, as numpy's is: dorgqr writes it Fortran-ordered, and the
+    matrix products downstream round differently on that layout.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
@@ -165,9 +177,16 @@ def householder_qr(a):
         q, r = householder_qr(np.ldexp(a, -exponent))
         return ThinQR(q, np.ldexp(r, exponent))
 
-    q, r = np.linalg.qr(a)
+    lwork, _ = dgeqrf_lwork(m, n)
+    qr, tau, work, info = dgeqrf(a, lwork=int(lwork))
+    if info != 0:
+        raise RuntimeError(f"dgeqrf failed with info = {info}")
+    r = np.triu(qr[:n])
+    q, _, info = dorgqr(qr, tau, lwork=max(int(work[0]), n), overwrite_a=True)
+    if info != 0:
+        raise RuntimeError(f"dorgqr failed with info = {info}")
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return ThinQR(q * signs, r * signs[:, None])
+    return ThinQR(np.multiply(q, signs, order="C"), r * signs[:, None])
 
 
 def _dgejsv(a):

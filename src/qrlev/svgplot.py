@@ -4,8 +4,9 @@ Minimal self-contained SVG emitter for the figure experiments.
 Each panel is a log-scale scatter of per-index values with an
 optional bound curve drawn above it. No external assets, no plotting
 library: the output is a single valid XML document. Values of zero
-(or below the floor) are clipped to the plot floor, since a log axis
-cannot display them.
+(or below the floor), NaN and -inf are clipped to the plot floor,
+since a log axis cannot display them; +inf is drawn at the top of the
+log range, a decade above the largest finite value.
 """
 
 import math
@@ -42,25 +43,32 @@ class Panel:
 
 
 def _clip(values):
-    """Values below PLOT_FLOOR or not finite are drawn at the floor."""
+    """Values below PLOT_FLOOR or not finite are clipped to the floor."""
     values = np.asarray(values, dtype=float)
     return np.where(np.isfinite(values) & (values >= PLOT_FLOOR), values, PLOT_FLOOR)
 
 
-def _log10(values):
+def _log10(values, top):
+    """log10 of the clipped values, with +inf at top."""
     # math.log10, not np.log10: the two differ in the last bit on about
     # 7% of random inputs, and one bit can move a pixel's .2f text.
-    return np.array(list(map(math.log10, _clip(values).tolist())), dtype=float)
+    values = np.asarray(values, dtype=float)
+    logs = np.array(list(map(math.log10, _clip(values).tolist())), dtype=float)
+    return np.where(values == np.inf, top, logs)
 
 
 def _log_range(panels):
-    columns = [_clip(c) for p in panels for c in (p.values, p.bound_values) if c.size]
-    if not columns:
+    raw = [c for p in panels for c in (p.values, p.bound_values) if c.size]
+    if not raw:
         return -1.0, 1.0
+    columns = [_clip(c) for c in raw]
     lo = math.floor(math.log10(min(c.min() for c in columns)))
     hi = math.ceil(math.log10(max(c.max() for c in columns)))
     if lo == hi:
         lo -= 1
+        hi += 1
+    # One more decade keeps +inf, drawn at hi, apart from the finite values.
+    if any(np.isposinf(c).any() for c in raw):
         hi += 1
     return float(lo), float(hi)
 
@@ -88,7 +96,7 @@ def render(panels, title=""):
         return MARGIN_L + (index - xlo) / max(xhi - xlo, 1.0) * plot_w
 
     def y_pix(values):
-        return MARGIN_T + (yhi - _log10(values)) / (yhi - ylo) * plot_h
+        return MARGIN_T + (yhi - _log10(values, yhi)) / (yhi - ylo) * plot_h
 
     def pixels(index, values):
         return zip(x_pix(index).tolist(), y_pix(values).tolist())

@@ -99,6 +99,8 @@ def _reference_log_range(panels):
     if lo == hi:
         lo -= 1
         hi += 1
+    if any(v == math.inf for p in panels for _, v in (*p.points, *p.bound)):
+        hi += 1
     return float(lo), float(hi)
 
 
@@ -129,7 +131,7 @@ def _reference_render(panels, title=""):
         return MARGIN_L + (j - xlo) / max(xhi - xlo, 1.0) * plot_w
 
     def y_pix(v):
-        lv = math.log10(_reference_clip(v))
+        lv = yhi if v == math.inf else math.log10(_reference_clip(v))
         return MARGIN_T + (yhi - lv) / (yhi - ylo) * plot_h
 
     out = []
@@ -515,6 +517,14 @@ class TestSVG:
         assert len(circles) == 2  # the zero is drawn, clipped to the floor
         ys = [float(c.attrib["cy"]) for c in circles]
         assert ys[0] > ys[1]  # clipped zero sits below the 1e-8 point
+
+    def test_inf_drawn_at_the_top_of_the_range(self):
+        values = np.array([np.inf, 1e-8, 0.0, np.nan, -np.inf])
+        svg = svgplot.render([svgplot.Panel("t", np.arange(5), values)])
+        circles = ET.fromstring(svg).findall(".//{http://www.w3.org/2000/svg}circle")
+        inf, finite, zero, nan, minus_inf = (float(c.attrib["cy"]) for c in circles)
+        assert inf == MARGIN_T < finite < zero
+        assert nan == minus_inf == zero  # these stay at the floor
 
 
 class TestReferenceEmitters:

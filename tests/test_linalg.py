@@ -261,6 +261,61 @@ def test_extreme_magnitudes_prescaled(scale):
     assert np.isfinite(res1.u).all()
 
 
+def _sign_normalized_numpy_qr(a):
+    q, r = np.linalg.qr(a)
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return q * signs, r * signs[:, None]
+
+
+def _route_inputs():
+    rng = np.random.default_rng(18)
+    cases = {}
+    for n in (1, 5, 25, 100, 129, 200):
+        for m in sorted({n, 2 * n, 1000}):
+            base = rng.standard_normal((2 * m, n))
+            cases[f"{m}x{n}-C"] = np.ascontiguousarray(base[:m])
+            cases[f"{m}x{n}-F"] = np.asfortranarray(base[:m])
+            cases[f"{m}x{n}-rows[::2]"] = base[::2]
+    return cases
+
+
+ROUTE_INPUTS = _route_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_INPUTS))
+def test_householder_qr_bitwise_equals_numpy_qr(name):
+    """
+    householder_qr runs dgeqrf + dorgqr through scipy; numpy's QR runs
+    the same pair in numpy's OpenBLAS. At one BLAS thread, where the
+    entry points run, the two agree bit for bit, and q is C-contiguous
+    as numpy's is. (At two threads each library splits the blocked
+    path's products its own way, so there the bits may differ.) The
+    check can fail: with scipy's default workspace (3n) in place of the
+    queried one, every case with n > 128 here (n = 129 and 200)
+    differs, since dgeqrf and dorgqr then narrow their blocks.
+    """
+    a = ROUTE_INPUTS[name]
+    with linalg.blas_threads(1):
+        q, r = householder_qr(a)
+        q_ref, r_ref = _sign_normalized_numpy_qr(a)
+    assert q.flags.c_contiguous
+    assert np.array_equal(q, q_ref)
+    assert np.array_equal(r, r_ref)
+
+
+@pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
+def test_householder_qr_raises_on_lapack_info(monkeypatch, routine):
+    real = getattr(linalg, routine)
+
+    def failing(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, -1)
+
+    monkeypatch.setattr(linalg, routine, failing)
+    with pytest.raises(RuntimeError, match=f"{routine} failed with info = -1"):
+        householder_qr(np.random.default_rng(8).standard_normal((10, 4)))
+
+
 LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
