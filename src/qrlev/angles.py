@@ -14,10 +14,10 @@ import numpy as np
 
 from .linalg import (
     BASIS_TOL,
+    _project_out,
     as_matrix,
     check_orthonormal,
     jacobi_svd,
-    project_complement,
 )
 
 # Above this cosine the naive sine sqrt(1 - c**2) has lost half its
@@ -75,9 +75,7 @@ def principal_angles(q, q_tilde):
     sines = np.sqrt(1.0 - cosines**2)
     small = cosines > SMALL_ANGLE_COS
     if small.any():
-        projected = jacobi_svd(
-            project_complement(q, q_tilde, tol=BASIS_TOL)
-        ).sigma
+        projected = jacobi_svd(_project_out(q, q_tilde)).sigma
         accurate = np.clip(projected[::-1], 0.0, 1.0)  # ascending
         sines = np.where(small, accurate, sines)
     return PrincipalAngles(cosines=cosines, sines=sines)
@@ -89,7 +87,7 @@ def sin_theta_max_projector(q, q_tilde):
     ||(I - q q.T) q_tilde||_2. Agrees with principal_angles(...).sines[-1].
     """
     q, q_tilde = _checked_pair(q, q_tilde)
-    projected = project_complement(q, q_tilde, tol=BASIS_TOL)
+    projected = _project_out(q, q_tilde)
     if not projected.any():
         return 0.0
     return float(min(jacobi_svd(projected).sigma[0], 1.0))

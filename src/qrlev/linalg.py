@@ -18,7 +18,12 @@ raises ConvergenceError.
 
 All functions but blas_pools and blas_threads are pure: inputs are
 never mutated, outputs are fresh arrays. Matrices are plain float64
-2-d numpy arrays throughout.
+2-d numpy arrays throughout. Each public call validates its inputs
+once. The private _gram_residual and _project_out take inputs that
+are already checked: check_orthonormal calls _gram_residual on the q
+it has just coerced, and callers that have checked q at BASIS_TOL
+themselves project with _project_out rather than check q again in
+project_complement.
 """
 
 import contextlib
@@ -71,16 +76,26 @@ def as_matrix(a, name="matrix"):
         raise ValueError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if a.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
 def gram_residual(q):
     """Frobenius norm of Q^T Q - I."""
-    q = as_matrix(q, "q")
-    n = q.shape[1]
-    return float(np.linalg.norm(q.T @ q - np.eye(n), "fro"))
+    return _gram_residual(as_matrix(q, "q"))
+
+
+def _gram_residual(q):
+    """
+    gram_residual of a q that as_matrix has already passed, with the
+    bits of np.linalg.norm(q.T @ q - np.eye(n), "fro"): 1 is
+    subtracted in place on the diagonal, and norm's "fro" is the
+    square root of the raveled matrix's dot product with itself.
+    """
+    g = (q.T @ q).ravel()
+    g[:: q.shape[1] + 1] -= 1.0
+    return math.sqrt(g.dot(g))
 
 
 def fro_norm(x):
@@ -112,7 +127,7 @@ def safe_ratio(num, den):
 
 def check_orthonormal(q, tol, name="q"):
     q = as_matrix(q, name)
-    res = gram_residual(q)
+    res = _gram_residual(q)
     if res > tol:
         raise ValueError(
             f"{name} is not orthonormal: Gram residual {res:.3e} exceeds {tol:.3e}"
@@ -126,10 +141,25 @@ def _range_exponent(a):
     entries would overflow or underflow. Zero for ordinary
     magnitudes, so the common path is untouched bit for bit.
     """
-    peak = max(float(np.max(a)), -float(np.min(a)))
+    peak = max(
+        float(np.maximum.reduce(a, axis=None)),
+        -float(np.minimum.reduce(a, axis=None)),
+    )
     if peak == 0.0 or 1e-150 < peak < 1e150:
         return 0
     return math.frexp(peak)[1]
+
+
+@functools.lru_cache(maxsize=64)
+def _upper(n):
+    """
+    Read-only n x n mask of the upper triangle, diagonal included.
+    Selecting through it gives the bits and the C order of np.triu,
+    without building the mask on every call.
+    """
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def householder_qr(a):
@@ -181,11 +211,11 @@ def householder_qr(a):
     qr, tau, work, info = dgeqrf(a, lwork=int(lwork))
     if info != 0:
         raise RuntimeError(f"dgeqrf failed with info = {info}")
-    r = np.triu(qr[:n])
+    r = np.where(_upper(n), qr[:n], 0.0)
     q, _, info = dorgqr(qr, tau, lwork=max(int(work[0]), n), overwrite_a=True)
     if info != 0:
         raise RuntimeError(f"dorgqr failed with info = {info}")
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    signs = np.where(r.diagonal() < 0.0, -1.0, 1.0)
     return ThinQR(np.multiply(q, signs, order="C"), r * signs[:, None])
 
 
@@ -197,10 +227,12 @@ def _dgejsv(a):
     returns U = I with sigma = 0 on a zero matrix and completes U on
     rank-deficient inputs.
     """
-    # JOBA 'E': accurate for column-scaled inputs; JOBU 'U', JOBV 'V':
-    # n vectors each; JOBR 'R': restricted range; JOBT, JOBP 'N'.
+    # JOBA 'C': accurate for column-scaled inputs; LAPACK's
+    # documentation defines 'E' as 'C' plus a condition estimate in
+    # work[2], which nothing here reads. JOBU 'U', JOBV 'V': n vectors
+    # each; JOBR 'R': restricted range; JOBT, JOBP 'N'.
     sva, u, v, work, _, info = dgejsv(
-        a, joba=1, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0
+        a, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0
     )
     if info != 0:
         raise ConvergenceError(f"dgejsv failed with info = {info}")
@@ -273,6 +305,14 @@ def project_complement(q, x, tol=None):
         raise ValueError(
             f"row count mismatch: q has {q.shape[0]} rows, x has {x.shape[0]}"
         )
+    return _project_out(q, x)
+
+
+def _project_out(q, x):
+    """
+    (I - q q^T) x, for a q and x that project_complement's checks, or
+    the caller's own at the same or a tighter tolerance, have passed.
+    """
     return x - q @ (q.T @ x)
 
 

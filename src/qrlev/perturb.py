@@ -33,6 +33,7 @@ from .io import check_json_type
 from .leverage import full_rank_qr
 from .linalg import (
     BASIS_TOL,
+    _project_out,
     as_matrix,
     check_orthonormal,
     fro_norm,
@@ -94,7 +95,7 @@ def rotation_perturbation(q, target_sin, rng):
         return q.copy()
     rng = make_rng(rng)
     g = rng.standard_normal((m, n))
-    q_perp = householder_qr(project_complement(q, g, tol=BASIS_TOL)).q
+    q_perp = householder_qr(_project_out(q, g)).q
     w = householder_qr(rng.standard_normal((n, n))).q
     theta = np.arcsin(target_sin)
     return q * np.cos(theta) + (q_perp @ w) * target_sin

@@ -8,6 +8,7 @@ import pytest
 
 import qrlev
 from qrlev import linalg
+from qrlev.angles import principal_angles, sin_theta_max_projector
 from qrlev.generate import (
     random_orthonormal,
     randsvd_matrix,
@@ -17,6 +18,8 @@ from qrlev.generate import (
 )
 from qrlev.leverage import leverage_qr, matrix_stats
 from qrlev.linalg import (
+    BASIS_TOL,
+    ORTH_TOL,
     ConvergenceError,
     as_matrix,
     fro_norm,
@@ -29,6 +32,7 @@ from qrlev.linalg import (
     triu_half,
     two_norm,
 )
+from qrlev.perturb import rotation_perturbation
 
 # 4 x 2 matrix with orthonormal columns and equal leverage scores 1/2;
 # also the base matrix of the projected-row counterexample.
@@ -40,6 +44,18 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([[1.0, np.nan]])
     with pytest.raises(ValueError, match="2-dimensional"):
         as_matrix([1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("index", [0, 7, 14])
+def test_as_matrix_rejects_nonfinite_anywhere(bad, index):
+    # First, a middle and the last entry of a 3 x 5 matrix.
+    a = np.arange(15.0).reshape(3, 5)
+    a.flat[index] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        as_matrix(a)
+    with pytest.raises(ValueError, match="non-finite"):
+        as_matrix(np.asfortranarray(a))
 
 
 class TestHouseholderQR:
@@ -219,6 +235,63 @@ class TestProjectComplement:
         with pytest.raises(ValueError, match="row count"):
             project_complement(np.eye(4)[:, :2], np.ones((3, 2)))
 
+    def test_default_tolerance_is_orth_tol_times_n(self):
+        n = 4
+        x = np.ones((30, 2))
+        project_complement(_stretched(30, n, 0.5 * ORTH_TOL * n), x)
+        off = _stretched(30, n, 2.0 * ORTH_TOL * n)
+        with pytest.raises(ValueError, match="Gram residual"):
+            project_complement(off, x)
+        project_complement(off, x, tol=BASIS_TOL)
+
+
+def _basis(m, n, seed=5):
+    return householder_qr(np.random.default_rng(seed).standard_normal((m, n))).q
+
+
+def _stretched(m, n, residual):
+    """
+    An m x n basis whose first column is stretched so that its Gram
+    residual is `residual` to two digits.
+    """
+    q = _basis(m, n)
+    q[:, 0] *= math.sqrt(1.0 + residual)
+    assert abs(gram_residual(q) - residual) <= 0.01 * residual
+    return q
+
+
+# Each takes the basis under test; the other basis, where there is one,
+# is orthonormal to round-off.
+BASIS_CHECKED = {
+    "principal_angles q": lambda q: principal_angles(q, _basis(30, 4, seed=6)),
+    "principal_angles q_tilde": lambda q: principal_angles(_basis(30, 4, seed=6), q),
+    "sin_theta_max_projector q":
+        lambda q: sin_theta_max_projector(q, _basis(30, 4, seed=6)),
+    "sin_theta_max_projector q_tilde":
+        lambda q: sin_theta_max_projector(_basis(30, 4, seed=6), q),
+    "rotation_perturbation": lambda q: rotation_perturbation(q, 1e-6, 7),
+}
+
+
+@pytest.mark.parametrize("name", list(BASIS_CHECKED))
+def test_callers_of_project_out_check_their_basis(name):
+    # These callers project with _project_out, which checks nothing;
+    # their own check at BASIS_TOL is the one that fires.
+    call = BASIS_CHECKED[name]
+    call(_stretched(30, 4, 0.5 * BASIS_TOL))
+    with pytest.raises(ValueError, match="Gram residual"):
+        call(_stretched(30, 4, 2.0 * BASIS_TOL))
+
+
+def test_callers_of_project_out_check_shapes():
+    q = _basis(30, 4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        principal_angles(q, q[:, :3])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sin_theta_max_projector(q, q[:29])
+    with pytest.raises(ValueError, match="m >= 2n"):
+        rotation_perturbation(_basis(7, 4), 1e-6, 7)
+
 
 class TestTriuHalf:
     def test_identity_halved(self):
@@ -314,6 +387,68 @@ def test_householder_qr_raises_on_lapack_info(monkeypatch, routine):
     monkeypatch.setattr(linalg, routine, failing)
     with pytest.raises(RuntimeError, match=f"{routine} failed with info = -1"):
         householder_qr(np.random.default_rng(8).standard_normal((10, 4)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("orthonormal", [True, False], ids=["orthonormal", "gaussian"])
+def test_gram_residual_bits_equal_the_norm_form(orthonormal):
+    rng = np.random.default_rng(23)
+    for n in range(1, 101):
+        q = rng.standard_normal((n + 3, n))
+        if orthonormal:
+            q = householder_qr(q).q
+        want = float(np.linalg.norm(q.T @ q - np.eye(n), "fro"))
+        assert _bits(linalg._gram_residual(q)) == _bits(want), n
+        assert _bits(gram_residual(q)) == _bits(want), n
+
+
+def _signed_zeros(n, rng):
+    x = rng.standard_normal((n, n))
+    x[rng.random((n, n)) < 0.3] = 0.0
+    x[rng.random((n, n)) < 0.3] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 25, 129])
+def test_upper_mask_bits_equal_triu(n):
+    rng = np.random.default_rng(n)
+    a = _signed_zeros(n, rng)
+    qr = linalg.dgeqrf(rng.standard_normal((2 * n, n)))[0]
+    for x in (a, np.asfortranarray(a), qr[:n], -np.zeros((n, n))):
+        got = np.where(linalg._upper(n), x, 0.0)
+        want = np.triu(x)
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+def test_upper_mask_is_cached_and_read_only():
+    mask = linalg._upper(6)
+    assert linalg._upper(6) is mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mask[5, 0] = True
+
+
+def _range_exponent_reference(a):
+    peak = max(float(np.max(a)), -float(np.min(a)))
+    if peak == 0.0 or 1e-150 < peak < 1e150:
+        return 0
+    return math.frexp(peak)[1]
+
+
+def test_range_exponent_equals_the_max_min_form():
+    rng = np.random.default_rng(29)
+    cases = [np.zeros((3, 2)), -np.zeros((2, 2)), np.eye(4)]
+    for scale in (1e-200, 1e-151, 1e-150, 1e150, 1e151, 1e200):
+        for g in (rng.standard_normal((6, 3)), np.abs(rng.standard_normal((4, 4)))):
+            cases += [g * scale, -g * scale, np.asfortranarray(g * scale)]
+    cases.append(np.array([[1e200, -1e-200], [0.0, -2e200]]))
+    cases.append(np.array([[1e-200, -0.0], [0.0, -3e-200]]))
+    for a in cases:
+        assert linalg._range_exponent(a) == _range_exponent_reference(a)
 
 
 LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
@@ -734,6 +869,61 @@ def test_dgejsv_info_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(linalg, "dgejsv", failing)
     with pytest.raises(ConvergenceError, match="info = 1"):
         jacobi_svd(np.random.default_rng(8).standard_normal((10, 4)))
+
+
+def _dgejsv_edge_inputs():
+    """
+    Square inputs, n from 1 to 60, by family: zero, identity, n = 1,
+    rank-deficient, rows or columns graded by 1e+-4 and 1e+-8, and
+    Gaussians scaled by 1e+-75 to 1e+-150.
+    """
+    rng = np.random.default_rng(37)
+    sizes = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 60)
+    families = {
+        "zero": [np.zeros((n, n)) for n in sizes],
+        "identity": [np.eye(n) for n in sizes],
+        "n=1": [np.array([[x]]) for x in (1.0, -2.5, 1e-150, -1e150, 3e-300)],
+        "rank-deficient": [],
+        "graded": [],
+        "scaled": [],
+    }
+    for n in sizes[1:]:
+        for rank in sorted({1, n // 2, n - 1}):
+            families["rank-deficient"].append(
+                rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+            )
+        a = rng.standard_normal((n, n))
+        a[:, rng.integers(n)] = 0.0
+        b = rng.standard_normal((n, n))
+        b[rng.integers(n)] = 0.0
+        families["rank-deficient"] += [a, b]
+    for n in sizes:
+        for top in (8.0, -8.0, 4.0, -4.0):
+            grade = np.logspace(0, top, n)
+            g = rng.standard_normal((n, n))
+            families["graded"] += [g * grade, g * grade[:, None]]
+        for scale in (1e-150, 1e-100, 1e-75, 1e75, 1e100, 1e150):
+            families["scaled"].append(rng.standard_normal((n, n)) * scale)
+    return families
+
+
+DGEJSV_EDGE_INPUTS = _dgejsv_edge_inputs()
+
+
+@pytest.mark.parametrize("family", list(DGEJSV_EDGE_INPUTS))
+def test_dgejsv_job_c_equals_job_e(family):
+    # JOBA 'E' is 'C' plus a condition estimate in work[2]; everything
+    # _dgejsv reads is the same bit for bit, and so is what it returns.
+    jobs = dict(jobu=0, jobv=0, jobr=1, jobt=0, jobp=0)
+    for k, a in enumerate(DGEJSV_EDGE_INPUTS[family]):
+        sva_c, u_c, v_c, work_c, _, info_c = linalg.dgejsv(a, joba=0, **jobs)
+        sva_e, u_e, v_e, work_e, _, info_e = linalg.dgejsv(a, joba=1, **jobs)
+        assert info_c == info_e == 0, (family, k)
+        u, sigma, v = linalg._dgejsv(a)
+        for got, want in ((sva_c, sva_e), (u_c, u_e), (v_c, v_e),
+                          (work_c[:2], work_e[:2]), (u, u_e), (v, v_e),
+                          (sigma, sva_e * (work_e[0] / work_e[1]))):
+            assert got.tobytes() == want.tobytes(), (family, k)
 
 
 def _counts(pools):
