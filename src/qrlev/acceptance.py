@@ -45,7 +45,7 @@ from .generate import (
     random_orthonormal,
     randsvd_matrix,
 )
-from .leverage import full_rank_qr, leverage_from_basis, matrix_stats
+from .leverage import full_rank_qr, leverage_from_basis
 from .linalg import (
     blas_threads,
     fro_norm,
@@ -356,8 +356,9 @@ def criterion_11(ctx):
         kappa = 10.0 ** rng.uniform(0, 3)
         a = randsvd_matrix(m, n, kappa, rng)
         delta = 1e-6 * fro_norm(a) * gaussian_matrix(m, n, rng)
-        rr = rdot_rinv(a, delta)
-        stats = matrix_stats(a)
+        f = full_rank_qr(a)
+        rr = rdot_rinv(f, delta)
+        stats = f.stats
         limit = math.sqrt(2.0 * stats.stable_rank) * stats.kappa2
         worst_ratio = max(worst_ratio, fro_norm(rr) / limit)
     norm_ok = worst_ratio <= 1.0 + 1e-10
@@ -367,21 +368,21 @@ def criterion_11(ctx):
     a = randsvd_matrix(60, 12, 50.0, rng)
     direction = gaussian_matrix(60, 12, rng)
     direction *= fro_norm(a) / fro_norm(direction)
+    f = full_rank_qr(a)
 
     def residual(eps):
         delta = eps * direction
-        return fro_norm(qr_q_difference(a, delta) - delta_q_first_order(a, delta))
+        return fro_norm(qr_q_difference(f, delta) - delta_q_first_order(f, delta))
 
     decay_ratio = residual(1e-4) / residual(1e-5)
     decay_ok = 30.0 <= decay_ratio <= 300.0
 
     # Finite-difference derivative of the triangular factor.
-    r0 = householder_qr(a).r
-    formula = rdot_rinv(a, direction)  # direction has eps_f == 1
+    formula = rdot_rinv(f, direction)  # direction has eps_f == 1
 
     def fd_error(t):
         rt = householder_qr(a + t * direction).r
-        fd = solve_upper(r0, ((rt - r0) / t).T, transpose=True).T
+        fd = solve_upper(f.r, (rt - f.r) / t)
         return fro_norm(fd - formula)
 
     order = math.log10(fd_error(1e-4) / fd_error(1e-5))
@@ -446,13 +447,13 @@ def _ensemble_item(a, rng):
     basis_diff, n).
     """
     n = a.shape[1]
-    q, _, svd_r = full_rank_qr(a)
-    lev_q = leverage_from_basis(q)
-    u = q @ svd_r.u
+    f = full_rank_qr(a)
+    lev_q = leverage_from_basis(f.q)
+    u = f.q @ f.svd_r.u
     lev_s = np.einsum("ij,ij->i", u, u)
     oracle_diff = float(np.max(np.abs(lev_q - lev_s)))
     w = random_orthonormal(n, n, rng)
-    basis_diff = float(np.max(np.abs(leverage_from_basis(q @ w) - lev_q)))
+    basis_diff = float(np.max(np.abs(leverage_from_basis(f.q @ w) - lev_q)))
     return lev_q, oracle_diff, basis_diff, n
 
 

@@ -295,68 +295,61 @@ def bound_t3_4(eta, n, kappa2):
     return BoundReport(theorem="T3_4", per_index_bound=bound)
 
 
-def _rdot_rinv_matrix(q, r, delta, eps_f):
+def _rdot_rinv_matrix(f, delta, eps_f):
     """(1 / eps_f) * triu_half(c + c.T) with c = q.T delta r**-1."""
-    # c via a triangular solve on the transpose.
-    c = solve_upper(r, (q.T @ delta).T, transpose=True).T
+    c = solve_upper(f.r, f.q.T @ delta)
     return triu_half(c + c.T) / eps_f
 
 
-def rdot_rinv(a, delta):
+def rdot_rinv(f, delta):
     """
     Derivative of the triangular QR factor along the perturbation
     direction, right-multiplied by its inverse.
 
-    With q, r the QR factors of a and eps_f = ||delta||_F / ||a||_F,
-    the result is
+    With f the Factorization a = q r from full_rank_qr and
+    eps_f = ||delta||_F / ||a||_F, the result is
 
         (1 / eps_f) * triu_half(q.T delta r**-1 + (q.T delta r**-1).T),
 
     an upper-triangular matrix whose Frobenius norm never exceeds
     sqrt(2 * stable_rank) * kappa2.
     """
-    a = as_matrix(a, "a")
     delta = as_matrix(delta, "delta")
-    if a.shape != delta.shape:
+    if f.a.shape != delta.shape:
         raise ValueError("a and delta must have equal shapes")
-    eps_f = fro_norm(delta) / fro_norm(a)
+    eps_f = fro_norm(delta) / fro_norm(f.a)
     if eps_f == 0.0:
         raise ValueError("delta must be nonzero")
-    q, r, _ = full_rank_qr(a)
-    return _rdot_rinv_matrix(q, r, delta, eps_f)
+    return _rdot_rinv_matrix(f, delta, eps_f)
 
 
-def delta_q_first_order(a, delta):
+def delta_q_first_order(f, delta):
     """
     First-order prediction of the change in the orthonormal QR factor
-    when a is perturbed by delta:
+    of the Factorization f when a is perturbed by delta:
 
-        delta r**-1 - eps_f * q * rdot_rinv(a, delta).
+        delta r**-1 - eps_f * q * rdot_rinv(f, delta).
 
     The residual against the true change decays quadratically in the
     perturbation size. Requires ||delta||_2 ||pinv(a)||_2 < 1.
     """
-    a = as_matrix(a, "a")
     delta = as_matrix(delta, "delta")
     if not delta.any():
-        return np.zeros_like(a)
-    q, r, svd_r = full_rank_qr(a)
+        return np.zeros_like(f.a)
     _check_hypothesis(
-        two_norm(delta) / float(svd_r.sigma[-1]), 1, True, "first-order prediction"
+        two_norm(delta) / float(f.svd_r.sigma[-1]), 1, True, "first-order prediction"
     )
-    eps_f = fro_norm(delta) / fro_norm(a)
-    rr = _rdot_rinv_matrix(q, r, delta, eps_f)
-    return solve_upper(r, delta.T, transpose=True).T - eps_f * (q @ rr)
+    eps_f = fro_norm(delta) / fro_norm(f.a)
+    return solve_upper(f.r, delta) - eps_f * (f.q @ _rdot_rinv_matrix(f, delta, eps_f))
 
 
-def qr_q_difference(a, delta):
+def qr_q_difference(f, delta):
     """
-    True change in the orthonormal QR factor, with the perturbed
-    factor's column signs aligned to the base factor (the factors are
-    unique up to column signs; alignment uses the diagonal of
-    q.T q_tilde).
+    True change in the orthonormal QR factor of the Factorization f
+    when a is perturbed by delta, with the perturbed factor's column
+    signs aligned to the base factor (the factors are unique up to
+    column signs; alignment uses the diagonal of q.T q_tilde).
     """
-    q, _, _ = full_rank_qr(a)
-    q_tilde, _, _ = full_rank_qr(as_matrix(a, "a") + as_matrix(delta, "delta"))
-    signs = np.where(np.diag(q.T @ q_tilde) < 0.0, -1.0, 1.0)
-    return q_tilde * signs - q
+    q_tilde = full_rank_qr(f.a + as_matrix(delta, "delta")).q
+    signs = np.where(np.diag(f.q.T @ q_tilde) < 0.0, -1.0, 1.0)
+    return q_tilde * signs - f.q

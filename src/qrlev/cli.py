@@ -45,7 +45,7 @@ from .experiments import (
 )
 from .generate import GenSpec, generate, stepped_spec
 from .io import format_float, read_matrix, write_matrix
-from .leverage import full_rank_qr, leverage_from_basis, leverage_qr, matrix_stats
+from .leverage import full_rank_qr, leverage_from_basis, leverage_qr
 from .linalg import RankDeficiencyError, blas_threads
 from .perturb import make_perturbation, measure
 
@@ -192,22 +192,21 @@ def cmd_bounds(args):
             f"{args.delta} is {delta.shape[0]}x{delta.shape[1]} but "
             f"{args.matrix} is {a.shape[0]}x{a.shape[1]}"
         )
-    q = full_rank_qr(a)[0]
-    lev = leverage_from_basis(q)
-    q_tilde = full_rank_qr(a + delta)[0]
+    f = full_rank_qr(a)
+    lev = leverage_from_basis(f.q)
+    q_tilde = full_rank_qr(a + delta).q
     lev_tilde = leverage_from_basis(q_tilde)
 
     name = args.name
     if name == "t1":
-        reports = [bound_t1(lev, principal_angles(q, q_tilde))]
+        reports = [bound_t1(lev, principal_angles(f.q, q_tilde))]
     elif name == "c1":
-        reports = [bound_c1(lev, principal_angles(q, q_tilde))]
+        reports = [bound_c1(lev, principal_angles(f.q, q_tilde))]
     elif name == "t3_4":
-        stats = matrix_stats(a)
         eta = _componentwise_eta(a, delta)
-        reports = [bound_t3_4(eta, a.shape[1], kappa2=stats.kappa2)]
+        reports = [bound_t3_4(eta, a.shape[1], kappa2=f.stats.kappa2)]
     else:
-        stats = matrix_stats(a)
+        stats = f.stats
         metrics = measure(a, delta)
         if name == "t2":
             reports = list(bound_t2(lev, stats, metrics))

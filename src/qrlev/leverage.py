@@ -4,14 +4,13 @@ statistics (condition number, stable rank) that drive every bound.
 
 The leverage score of row j is the squared two-norm of row j of any
 orthonormal basis for the column space. Scores lie in [0, 1] and sum
-to the column count. leverage_qr, leverage_svd and matrix_stats all go
-through full_rank_qr: one Householder QR a = q r, one SVD of r by
-LAPACK's one-sided Jacobi dgejsv (linalg.jacobi_svd) and one rank
-check. The QR route reads the scores from q, the SVD route from the
-left singular vectors q @ u_r, and matrix_stats reads the singular
-values of r, which are those of a. The SVD route shares the QR, so its
-agreement with the QR route checks the dgejsv step, not the range of
-Q.
+to the column count. full_rank_qr factors a matrix once (one
+Householder QR a = q r, one SVD of r by LAPACK's one-sided Jacobi
+dgejsv, one rank check) into a Factorization that callers pass on. The
+QR route reads the scores from q, the SVD route from the left singular
+vectors q @ u_r, and Factorization.stats the singular values of r,
+which are those of a. The SVD route shares the QR, so its agreement
+with the QR route checks the dgejsv step, not the range of Q.
 """
 
 import math
@@ -22,6 +21,7 @@ import numpy as np
 from .linalg import (
     BASIS_TOL,
     RankDeficiencyError,
+    SvdResult,
     _range_exponent,
     as_matrix,
     check_orthonormal,
@@ -41,6 +41,32 @@ class MatrixStats:
 
     kappa2: float       # sigma_max / sigma_min
     stable_rank: float  # ||a||_F**2 / ||a||_2**2
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """A full-rank a = q r from full_rank_qr, with the SVD of r."""
+
+    a: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    svd_r: SvdResult  # jacobi_svd(r): its sigma are a's singular values
+
+    @property
+    def stats(self):
+        """
+        kappa2 = sigma_max / sigma_min and the stable rank
+        ||a||_F**2 / ||a||_2**2, computed on each read. The stable rank
+        is at most n (1 + 4 eps): the two norms come from different
+        sums, so at n = 1 it can exceed 1 by a few ulps of round-off.
+        """
+        sigma = self.svd_r.sigma
+        two = float(sigma[0])
+        # Square both norms at a's power-of-two prescale, where neither
+        # over- nor underflows; the ratio is the same bits at any scale.
+        exponent = _range_exponent(self.a)
+        fro, two_s = math.ldexp(fro_norm(self.a), -exponent), math.ldexp(two, -exponent)
+        return MatrixStats(kappa2=two / float(sigma[-1]), stable_rank=fro**2 / two_s**2)
 
 
 def leverage_from_basis(q):
@@ -88,7 +114,7 @@ def full_rank_qr(a):
             f"matrix is numerically rank deficient: sigma_min/sigma_max = {ratio:.3e}",
             ratio=ratio,
         )
-    return q, r, svd_r
+    return Factorization(a, q, r, svd_r)
 
 
 def leverage_qr(a):
@@ -99,7 +125,7 @@ def leverage_qr(a):
     rank deficiency raises RankDeficiencyError carrying the
     sigma_min/sigma_max ratio.
     """
-    return leverage_from_basis(full_rank_qr(a)[0])
+    return leverage_from_basis(full_rank_qr(a).q)
 
 
 def leverage_svd(a):
@@ -110,27 +136,14 @@ def leverage_svd(a):
     the same full_rank_qr, so this is not an independent check of the
     QR's range.
     """
-    q, _, svd_r = full_rank_qr(a)
-    u = q @ svd_r.u
+    f = full_rank_qr(a)
+    u = f.q @ f.svd_r.u
     return np.einsum("ij,ij->i", u, u)
 
 
 def matrix_stats(a):
     """
-    Condition number and stable rank.
-
-    kappa2 is sigma_max / sigma_min; the stable rank is
-    ||a||_F**2 / ||a||_2**2, at most n (1 + 4 eps) for n columns: the
-    two norms come from different sums, so at n = 1 it can exceed 1 by
-    a few ulps of round-off. Same contract as leverage_qr: m >= n and
-    numerically full rank.
+    Condition number and stable rank of a (Factorization.stats). Same
+    contract as leverage_qr: m >= n and numerically full rank.
     """
-    a = as_matrix(a, "a")
-    sigma = full_rank_qr(a)[2].sigma
-    two = float(sigma[0])
-    # Square both norms at a's power-of-two prescale, where neither
-    # over- nor underflows; the ratio is the same bits at any scale.
-    exponent = _range_exponent(a)
-    fro, two_s = math.ldexp(fro_norm(a), -exponent), math.ldexp(two, -exponent)
-    return MatrixStats(kappa2=two / float(sigma[-1]), stable_rank=fro**2 / two_s**2)
-
+    return full_rank_qr(a).stats

@@ -289,18 +289,17 @@ def two_norm(a):
     return float(jacobi_svd(a).sigma[0])
 
 
-def project_complement(q, x, tol=None):
+def project_complement(q, x):
     """
     Apply the projector onto the orthogonal complement of range(q).
 
     Returns (I - q q^T) x for q with orthonormal columns (Gram
-    residual at most tol, default the QR-output tolerance
-    ORTH_TOL * n). The result plus q q^T x reconstructs x exactly up
-    to round-off.
+    residual at most the QR-output tolerance ORTH_TOL * n). The result
+    plus q q^T x reconstructs x exactly up to round-off.
     """
     q = as_matrix(q, "q")
     x = as_matrix(x, "x")
-    check_orthonormal(q, ORTH_TOL * q.shape[1] if tol is None else tol, "q")
+    check_orthonormal(q, ORTH_TOL * q.shape[1], "q")
     if q.shape[0] != x.shape[0]:
         raise ValueError(
             f"row count mismatch: q has {q.shape[0]} rows, x has {x.shape[0]}"
@@ -330,9 +329,9 @@ def triu_half(z):
     return np.triu(z, 1) + 0.5 * np.diag(np.diag(z))
 
 
-def solve_upper(r, b, transpose=False):
-    """Solve r x = b (or r^T x = b) for upper-triangular r."""
-    return solve_triangular(r, b, trans="T" if transpose else "N", lower=False)
+def solve_upper(r, b):
+    """b r**-1 for upper-triangular r: the solution x of x r = b."""
+    return solve_triangular(r, b.T, trans="T", lower=False).T
 
 
 # (get, set) thread-count symbols of an OpenBLAS build: numpy's copy

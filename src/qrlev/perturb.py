@@ -238,11 +238,11 @@ def measure(a, delta):
         raise ValueError(
             f"dimension mismatch: a is {a.shape}, delta is {delta.shape}"
         )
-    q, _, svd_r = full_rank_qr(a)
+    f = full_rank_qr(a)
 
-    a_two = float(svd_r.sigma[0])
+    a_two = float(f.svd_r.sigma[0])
     a_fro = fro_norm(a)
-    perp = project_complement(q, delta)
+    perp = project_complement(f.q, delta)
     a_rows = row_norms(a)
     return PerturbationMetrics(
         eps_two=two_norm(delta) / a_two,

@@ -1,6 +1,39 @@
+import sys
+
 import pytest
 
+import qrlev.acceptance  # noqa: F401  (loads every module that factors)
+import qrlev.cli  # noqa: F401
+from qrlev import linalg
 from qrlev.linalg import blas_pools
+
+
+@pytest.fixture
+def factorization_calls(monkeypatch):
+    """
+    Counts of householder_qr and jacobi_svd calls made through any
+    qrlev module during the test. A call either makes to itself (to
+    prescale or transpose) is not counted again; householder_qr inside
+    jacobi_svd is.
+    """
+    counts = {"householder_qr": 0, "jacobi_svd": 0}
+    active = []
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("qrlev.")]
+    for name in counts:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += not (active and active[-1] == _name)
+            active.append(_name)
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                active.pop()
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 @pytest.fixture

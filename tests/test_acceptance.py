@@ -315,6 +315,17 @@ def test_ensemble_factors_each_matrix_once(monkeypatch):
     assert calls == {"householder_qr": size, "jacobi_svd": size}
 
 
+def test_criterion_11_factors_each_matrix_once(factorization_calls):
+    # Upper bounds, not pins, so that removing more repeated work
+    # passes. Each of the 100 pairs and the decay matrix is factored
+    # once; the other QR calls build the randsvd inputs and factor
+    # a + t * direction for the decay and finite-difference checks.
+    res = acceptance.criterion_11({"seed": acceptance.DEFAULT_SEED})
+    assert res.passed, res.detail
+    assert factorization_calls["householder_qr"] <= 309
+    assert factorization_calls["jacobi_svd"] <= 105
+
+
 def test_run_all_runs_at_one_blas_thread_and_restores(monkeypatch, two_blas_threads):
     # Stub the shared inputs; one criterion records the counts it sees
     # and one crashes, which run_all reports as a failed criterion.

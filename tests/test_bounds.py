@@ -418,7 +418,7 @@ def _first_order_at(product):
     # ||delta||_2 = product exactly and sigma_min(a) = 1 exactly.
     delta = np.zeros((4, 2))
     delta[0, 0] = product
-    return delta_q_first_order(np.eye(4, 2), delta)
+    return delta_q_first_order(full_rank_qr(np.eye(4, 2)), delta)
 
 
 NORMWISE = "||delta||_2 ||pinv(a)||_2"
@@ -458,23 +458,23 @@ class TestRdotRinv:
         # delta equal to the matrix itself: q.T delta r**-1 is the
         # identity, eps_f is 1, and the result is the identity.
         a = gaussian_matrix(12, 4, 3)
-        rr = rdot_rinv(a, a)
+        rr = rdot_rinv(full_rank_qr(a), a)
         np.testing.assert_allclose(rr, np.eye(4), atol=1e-12)
 
     def test_symmetric_part_identity(self):
         a = gaussian_matrix(15, 5, 4)
         delta = 1e-4 * gaussian_matrix(15, 5, 5)
-        rr = rdot_rinv(a, delta)
+        rr = rdot_rinv(full_rank_qr(a), delta)
         q, r = householder_qr(a)
         eps_f = np.linalg.norm(delta) / np.linalg.norm(a)
-        c = solve_upper(r, (q.T @ delta).T, transpose=True).T
+        c = solve_upper(r, q.T @ delta)
         np.testing.assert_allclose(
             rr + rr.T, (c + c.T) / eps_f, atol=1e-10
         )
 
     def test_strictly_lower_exactly_zero(self):
         a = gaussian_matrix(10, 4, 6)
-        rr = rdot_rinv(a, gaussian_matrix(10, 4, 7))
+        rr = rdot_rinv(full_rank_qr(a), gaussian_matrix(10, 4, 7))
         assert np.array_equal(np.tril(rr, -1), np.zeros((4, 4)))
 
     def test_norm_bound(self):
@@ -484,7 +484,7 @@ class TestRdotRinv:
             m = int(rng.integers(n, 50))
             a = randsvd_matrix(m, n, 10.0 ** rng.uniform(0, 3), rng)
             delta = 1e-5 * np.linalg.norm(a) * rng.standard_normal((m, n))
-            rr = rdot_rinv(a, delta)
+            rr = rdot_rinv(full_rank_qr(a), delta)
             stats = matrix_stats(a)
             limit = np.sqrt(2.0 * stats.stable_rank) * stats.kappa2
             assert np.linalg.norm(rr, "fro") <= limit * (1.0 + 1e-10)
@@ -493,12 +493,12 @@ class TestRdotRinv:
         a = randsvd_matrix(20, 5, 10.0, 8)
         direction = gaussian_matrix(20, 5, 9)
         direction *= np.linalg.norm(a) / np.linalg.norm(direction)
-        formula = rdot_rinv(a, direction)  # eps_f == 1
+        formula = rdot_rinv(full_rank_qr(a), direction)  # eps_f == 1
         r0 = householder_qr(a).r
 
         def fd_err(t):
             rt = householder_qr(a + t * direction).r
-            fd = solve_upper(r0, ((rt - r0) / t).T, transpose=True).T
+            fd = solve_upper(r0, (rt - r0) / t)
             return np.linalg.norm(fd - formula)
 
         order = np.log10(fd_err(1e-4) / fd_err(1e-5))
@@ -506,24 +506,25 @@ class TestRdotRinv:
 
     def test_zero_delta_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
-            rdot_rinv(np.eye(3), np.zeros((3, 3)))
+            rdot_rinv(full_rank_qr(np.eye(3)), np.zeros((3, 3)))
 
 
 class TestDeltaQFirstOrder:
     def test_zero_delta(self):
         np.testing.assert_array_equal(
-            delta_q_first_order(np.eye(4), np.zeros((4, 4))), np.zeros((4, 4))
+            delta_q_first_order(full_rank_qr(np.eye(4)), np.zeros((4, 4))), np.zeros((4, 4))
         )
 
     def test_quadratic_decay(self):
         a = randsvd_matrix(60, 12, 50.0, 13)
         direction = gaussian_matrix(60, 12, 14)
         direction *= np.linalg.norm(a) / np.linalg.norm(direction)
+        f = full_rank_qr(a)
 
         def residual(eps):
             delta = eps * direction
             return np.linalg.norm(
-                qr_q_difference(a, delta) - delta_q_first_order(a, delta)
+                qr_q_difference(f, delta) - delta_q_first_order(f, delta)
             )
 
         ratio = residual(1e-4) / residual(1e-5)
@@ -533,7 +534,7 @@ class TestDeltaQFirstOrder:
         # Row norms of the prediction obey the scaled local+global bound.
         a = randsvd_matrix(40, 6, 20.0, 15)
         delta = normwise_perturbation(a, 1e-8, "fro", 16)
-        pred = delta_q_first_order(a, delta)
+        pred = delta_q_first_order(full_rank_qr(a), delta)
         lev = leverage_from_basis(householder_qr(a).q)
         stats = matrix_stats(a)
         metrics = measure(a, delta)
@@ -546,18 +547,18 @@ class TestDeltaQFirstOrder:
     def test_hypothesis_violation(self):
         a = randsvd_matrix(10, 3, 100.0, 17)
         with pytest.raises(HypothesisError, match="first-order"):
-            delta_q_first_order(a, 10.0 * a)
+            delta_q_first_order(full_rank_qr(a), 10.0 * a)
 
     def test_bitwise_the_written_out_formula(self, monkeypatch):
         # Criterion 11's decay and finite-difference inputs, against the
         # R-dot R**-1 formula spelled out here: the same bits from the
-        # same number of factorizations and triangular solves.
-        def formula(a, delta):
-            q, r, _ = full_rank_qr(a)
-            eps_f = fro_norm(delta) / fro_norm(a)
-            c = solve_upper(r, (q.T @ delta).T, transpose=True).T
+        # same triangular solves, and no factorization of a beyond the
+        # one handed in.
+        def formula(f, delta):
+            eps_f = fro_norm(delta) / fro_norm(f.a)
+            c = solve_upper(f.r, f.q.T @ delta)
             rr = triu_half(c + c.T) / eps_f
-            return rr, solve_upper(r, delta.T, transpose=True).T - eps_f * (q @ rr)
+            return rr, solve_upper(f.r, delta) - eps_f * (f.q @ rr)
 
         counts = {}
         for name, fn in (("full_rank_qr", full_rank_qr), ("solve_upper", solve_upper)):
@@ -571,15 +572,16 @@ class TestDeltaQFirstOrder:
         a = randsvd_matrix(60, 12, 50.0, rng)
         direction = gaussian_matrix(60, 12, rng)
         direction *= np.linalg.norm(a, "fro") / np.linalg.norm(direction, "fro")
+        f = full_rank_qr(a)
         for eps in (1e-4, 1e-5):
             delta = eps * direction
-            rr, pred = formula(a, delta)
+            rr, pred = formula(f, delta)
             counts.clear()
-            assert rdot_rinv(a, delta).tobytes() == rr.tobytes()
-            assert delta_q_first_order(a, delta).tobytes() == pred.tobytes()
-            assert counts == {"full_rank_qr": 2, "solve_upper": 3}
-        rr, _ = formula(a, direction)
-        assert rdot_rinv(a, direction).tobytes() == rr.tobytes()
+            assert rdot_rinv(f, delta).tobytes() == rr.tobytes()
+            assert delta_q_first_order(f, delta).tobytes() == pred.tobytes()
+            assert counts == {"solve_upper": 3}  # no full_rank_qr call
+        rr, _ = formula(f, direction)
+        assert rdot_rinv(f, direction).tobytes() == rr.tobytes()
 
 
 # Each evaluator on the scores, stats and metrics of one (a, delta).
@@ -630,7 +632,7 @@ class TestEdgeShapes:
     def test_rdot_rinv_is_finite_and_within_its_norm_bound(self, case):
         a, delta = _edge_pair(*case)
         stats = matrix_stats(a)
-        rr = rdot_rinv(a, delta)
+        rr = rdot_rinv(full_rank_qr(a), delta)
         assert np.all(np.isfinite(rr))
         assert fro_norm(rr) <= np.sqrt(2.0 * stats.stable_rank) * stats.kappa2
 
@@ -648,6 +650,6 @@ class TestEdgeShapes:
         a, delta = _edge_pair((12, 6), scale)
         a[:, 3] = 0.0
         for fn in (leverage_qr, matrix_stats, lambda x: measure(x, delta),
-                   lambda x: rdot_rinv(x, delta)):
+                   lambda x: rdot_rinv(full_rank_qr(x), delta)):
             with pytest.raises(RankDeficiencyError):
                 fn(a)

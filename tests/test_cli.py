@@ -371,6 +371,22 @@ class TestBounds:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(("name", "qr_calls"), [("t3_1", 5), ("t3_4", 2)])
+    def test_factorizations_of_a_are_not_repeated(
+        self, tmp_path, factorization_calls, name, qr_calls
+    ):
+        # An upper bound, not a pin. t3_4 factors a and a + delta once
+        # each; t3_1 adds measure's own factorization of a and the QR
+        # inside two_norm of delta and of its projection.
+        a = np.random.default_rng(1).standard_normal((30, 4))
+        delta = componentwise_row_perturbation(a, 1e-8, 2)
+        mat, dlt = tmp_path / "a.txt", tmp_path / "d.txt"
+        write_matrix(a, mat)
+        write_matrix(delta, dlt)
+        argv = ["bounds", name, "--matrix", str(mat), "--delta", str(dlt)]
+        assert run(argv + ["--out", str(tmp_path / "r.csv")]) == 0
+        assert factorization_calls["householder_qr"] <= qr_calls
+
     def test_t2_json(self, tmp_path):
         a = np.random.default_rng(5).standard_normal((25, 3))
         delta = 1e-8 * np.random.default_rng(6).standard_normal((25, 3))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,15 +10,17 @@ from qrlev.generate import (
     stepped_illconditioned,
     stepped_orthonormal,
 )
+from qrlev import leverage
 from qrlev.leverage import (
     RANK_TOL_FACTOR,
+    MatrixStats,
     full_rank_qr,
     leverage_from_basis,
     leverage_qr,
     leverage_svd,
     matrix_stats,
 )
-from qrlev.linalg import RankDeficiencyError, householder_qr
+from qrlev.linalg import RankDeficiencyError, _range_exponent, fro_norm, householder_qr
 from qrlev.perturb import measure
 
 CROSS = 0.5 * np.array([[1, 1], [1, -1], [1, 1], [1, -1.0]])
@@ -194,7 +197,7 @@ class TestEdgeShapes:
             a = randsvd_matrix(10, 3, kappa, np.random.default_rng(0))
             a[row] = 0.0
             assert leverage_qr(a)[row] == 0.0
-            assert not full_rank_qr(a)[0][row].any()
+            assert not full_rank_qr(a).q[row].any()
         a = np.random.default_rng(0).standard_normal((10, 3))
         a[row] = 0.0
         assert leverage_qr(a)[row] == 0.0
@@ -272,6 +275,37 @@ class TestMatrixStats:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficiencyError):
             matrix_stats(np.ones((5, 2)))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize(
+        ("m", "n", "zero_row"), [(7, 1, False), (7, 1, True), (6, 6, False), (12, 6, True)]
+    )
+    def test_factorization_stats_is_bitwise_the_written_out_formula(self, m, n, zero_row, scale):
+        # n = 1, m = n, a zero row, and entries near 1e+-200, against
+        # the formula matrix_stats computed before Factorization held it.
+        rng = np.random.default_rng(6)
+        a = randsvd_matrix(m, n, 1e3, rng) if n > 1 else rng.standard_normal((m, n))
+        if zero_row:
+            a[2] = 0.0
+        a = scale * a
+        sigma = full_rank_qr(a).svd_r.sigma
+        two = float(sigma[0])
+        exponent = _range_exponent(a)
+        fro, two_s = math.ldexp(fro_norm(a), -exponent), math.ldexp(two, -exponent)
+        want = MatrixStats(kappa2=two / float(sigma[-1]), stable_rank=fro**2 / two_s**2)
+        for got in (full_rank_qr(a).stats, matrix_stats(a)):
+            assert (got.kappa2.hex(), got.stable_rank.hex()) == (
+                want.kappa2.hex(), want.stable_rank.hex()
+            )
+
+    def test_frobenius_norm_waits_for_stats(self, monkeypatch):
+        # leverage_qr reads only q, so full_rank_qr must not pay for ||a||_F.
+        calls = []
+        monkeypatch.setattr(leverage, "fro_norm", lambda a: calls.append(a) or fro_norm(a))
+        f = full_rank_qr(np.random.default_rng(7).standard_normal((40, 5)))
+        assert calls == []
+        f.stats
+        assert len(calls) == 1
 
 
 def test_basis_independence_under_rotation():

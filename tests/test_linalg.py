@@ -242,7 +242,6 @@ class TestProjectComplement:
         off = _stretched(30, n, 2.0 * ORTH_TOL * n)
         with pytest.raises(ValueError, match="Gram residual"):
             project_complement(off, x)
-        project_complement(off, x, tol=BASIS_TOL)
 
 
 def _basis(m, n, seed=5):
