@@ -84,10 +84,11 @@ def principal_angles(q, q_tilde):
 def sin_theta_max_projector(q, q_tilde):
     """
     Sine of the largest principal angle via the projector formula
-    ||(I - q q.T) q_tilde||_2. Agrees with principal_angles(...).sines[-1].
+    ||(I - q_tilde q_tilde.T) q||_2. Agrees with principal_angles(...).sines[-1],
+    which projects the other way, so the two share no computed matrix.
     """
     q, q_tilde = _checked_pair(q, q_tilde)
-    projected = _project_out(q, q_tilde)
+    projected = _project_out(q_tilde, q)
     if not projected.any():
         return 0.0
     return float(min(jacobi_svd(projected).sigma[0], 1.0))

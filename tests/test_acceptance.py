@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrlev import acceptance, experiments, leverage
+from qrlev import acceptance, angles, experiments, leverage, linalg
 from qrlev.bounds import bound_c1, bound_t1
 from qrlev.experiments import FigurePanel
 from qrlev.generate import gaussian_matrix, random_orthonormal, randsvd_matrix
@@ -324,6 +324,31 @@ def test_criterion_11_factors_each_matrix_once(factorization_calls):
     assert res.passed, res.detail
     assert factorization_calls["householder_qr"] <= 309
     assert factorization_calls["jacobi_svd"] <= 105
+
+
+def test_criterion_3_fails_on_a_small_error_in_the_projected_sines(monkeypatch):
+    # A 1e-6 relative error in the singular values principal_angles
+    # reads from its projected matrix (I - q q.T) q_tilde: those below
+    # the small-angle cutoff. Criterion 3 can only see it if the
+    # projector side takes its sine from another matrix.
+    projected = set()
+    cutoff = np.sqrt(1.0 - angles.SMALL_ANGLE_COS**2)
+
+    def recording(q, q_tilde):
+        projected.add(angles._project_out(q, q_tilde).tobytes())
+        return angles.principal_angles(q, q_tilde)
+
+    def perturbed(a):
+        res = linalg.jacobi_svd(a)
+        if a.tobytes() in projected:
+            small = res.sigma < cutoff
+            return res._replace(sigma=np.where(small, res.sigma * (1.0 + 1e-6), res.sigma))
+        return res
+
+    monkeypatch.setattr(acceptance, "principal_angles", recording)
+    monkeypatch.setattr(angles, "jacobi_svd", perturbed)
+    res = acceptance.criterion_3({"seed": acceptance.DEFAULT_SEED})
+    assert not res.passed, res.detail
 
 
 def test_run_all_runs_at_one_blas_thread_and_restores(monkeypatch, two_blas_threads):
