@@ -3,7 +3,6 @@ import sys
 import pytest
 
 import qrlev.acceptance  # noqa: F401  (loads every module that factors)
-import qrlev.cli  # noqa: F401
 from qrlev import linalg
 from qrlev.linalg import blas_pools
 
@@ -23,7 +22,8 @@ def factorization_calls(monkeypatch):
         original = getattr(linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += not (active and active[-1] == _name)
+            if not active or active[-1] != _name:
+                counts[_name] += 1
             active.append(_name)
             try:
                 return _original(*args, **kwargs)
