@@ -19,7 +19,7 @@ from qrlev.bounds import (
     observed,
 )
 from qrlev.generate import stepped_orthonormal
-from qrlev.leverage import leverage_qr, matrix_stats
+from qrlev.leverage import full_rank_qr, leverage_from_basis, leverage_qr
 from qrlev.perturb import (
     componentwise_row_perturbation,
     measure,
@@ -29,8 +29,10 @@ from qrlev.perturb import (
 
 SEED = 42
 a = stepped_orthonormal(SEED)
-lev = leverage_qr(a)
-stats = matrix_stats(a)
+# Factor a once; the scores, the statistics and every measure read it.
+f = full_rank_qr(a)
+lev = leverage_from_basis(f.q)
+stats = f.stats
 
 
 def summarize(lev_tilde, report):
@@ -50,7 +52,7 @@ summarize(leverage_qr(q_tilde), bound_c1(lev, principal_angles(a, q_tilde)))
 
 # Two-norm Gaussian perturbation: general and projected variants.
 delta = normwise_perturbation(a, 1e-8, "two", 2)
-metrics = measure(a, delta)
+metrics = measure(f, delta)
 lev_tilde = leverage_qr(a + delta)
 projected, general = bound_t2(lev, stats, metrics)
 summarize(lev_tilde, general)
@@ -58,12 +60,12 @@ summarize(lev_tilde, projected)
 
 # Frobenius perturbation through the QR route.
 delta = normwise_perturbation(a, 1e-8, "fro", 3)
-metrics = measure(a, delta)
+metrics = measure(f, delta)
 lev_tilde = leverage_qr(a + delta)
 summarize(lev_tilde, bound_t3_1(lev, stats, metrics))
 summarize(lev_tilde, bound_t3_2(stats, metrics))
 
-# Componentwise row scaling: bound independent of conditioning.
+# Row scaling delta = D a: bound independent of conditioning.
 eta = np.full(a.shape[0], 1e-8)
 delta = componentwise_row_perturbation(a, eta, 4)
 summarize(leverage_qr(a + delta), bound_t3_4(eta, a.shape[1], kappa2=stats.kappa2))

@@ -13,7 +13,7 @@ T2_gen       relative difference vs. general two-norm perturbation
 T3_1         relative difference vs. Frobenius perturbation through QR
 T3_2         first order, recognizes row scaling (local + global term)
 T3_3         first order, projected variant of T3_2
-T3_4         first order, componentwise row-scaled perturbations
+T3_4         first order, row scalings delta = D a (D diagonal)
 
 Each bound_* evaluator only evaluates: it reads the scores and the
 perturbation sizes and returns the per-index bound, never the observed
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leverage import full_rank_qr
 from .linalg import as_matrix, fro_norm, safe_ratio, solve_upper, triu_half, two_norm
 
 FIRST_ORDER_TAGS = ("T3_2", "T3_3", "T3_4")
@@ -277,8 +276,9 @@ def bound_t3_3(stats, metrics):
 
 def bound_t3_4(eta, n, kappa2):
     """
-    First-order bound for componentwise row-scaled perturbations:
-    2 (eta_j + sqrt(2) n max(eta)).
+    First-order bound for row-scaled perturbations delta = D a, D
+    diagonal with |D_jj| <= eta_j: 2 (eta_j + sqrt(2) n max(eta)). It
+    does not cover every entrywise |delta_jk| <= eta_j |a_jk|.
 
     Depends only on the row-scaling factors and the column count,
     not on conditioning or score magnitude; kappa2 enters only the
@@ -343,13 +343,12 @@ def delta_q_first_order(f, delta):
     return solve_upper(f.r, delta) - eps_f * (f.q @ _rdot_rinv_matrix(f, delta, eps_f))
 
 
-def qr_q_difference(f, delta):
+def qr_q_difference(f, f_tilde):
     """
-    True change in the orthonormal QR factor of the Factorization f
-    when a is perturbed by delta, with the perturbed factor's column
-    signs aligned to the base factor (the factors are unique up to
-    column signs; alignment uses the diagonal of q.T q_tilde).
+    True change f_tilde.q - f.q in the orthonormal QR factor, from the
+    Factorizations f of a and f_tilde of a + delta, with f_tilde.q's
+    column signs aligned to f.q's (the factors are unique up to column
+    signs; alignment uses the diagonal of f.q.T f_tilde.q).
     """
-    q_tilde = full_rank_qr(f.a + as_matrix(delta, "delta")).q
-    signs = np.where(np.diag(f.q.T @ q_tilde) < 0.0, -1.0, 1.0)
-    return q_tilde * signs - f.q
+    signs = np.where(np.diag(f.q.T @ f_tilde.q) < 0.0, -1.0, 1.0)
+    return f_tilde.q * signs - f.q

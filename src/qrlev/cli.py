@@ -9,6 +9,7 @@ perturb    emit a perturbation of a matrix file plus its measured
            magnitudes
 levscores  leverage scores of a matrix file
 bounds     evaluate a named bound for a matrix/perturbation pair
+           (t3_4 takes only delta = D a, a row scaling of the matrix)
 figure     run one figure experiment and emit CSV + SVG
 check      run the full acceptance suite (nonzero exit on failure)
 
@@ -46,7 +47,7 @@ from .experiments import (
 from .generate import GenSpec, generate, stepped_spec
 from .io import format_float, read_matrix, write_matrix
 from .leverage import full_rank_qr, leverage_from_basis, leverage_qr
-from .linalg import RankDeficiencyError, blas_threads
+from .linalg import RankDeficiencyError, blas_threads, safe_ratio
 from .perturb import make_perturbation, measure
 
 # Preset name -> sv_mode of the stepped recipe.
@@ -136,7 +137,7 @@ def cmd_perturb(args):
     delta = make_perturbation(_load_json(args.config), a, _seed(args))
     write_matrix(delta, args.out)
     print(args.out)
-    metrics = measure(a, delta)
+    metrics = measure(full_rank_qr(a), delta)
     payload = {
         "eps_two": metrics.eps_two,
         "eps_fro": metrics.eps_fro,
@@ -171,17 +172,30 @@ def cmd_levscores(args):
     return 0
 
 
+# fl(d_j a_jk) and c_j a_jk, c_j the ratio at the row's largest |a_jk|, differ
+# by 4u |c_j a_jk| + 3 * 2**-1075 (underflow) to first order; allow twice that.
+ROW_SCALING_REL_TOL = 2.0**-50  # 8u, u = 2**-53
+ROW_SCALING_ABS_TOL = 2.0**-1072
+
+
 def _componentwise_eta(a, delta):
-    """Per-row scaling factors when delta is a componentwise row scaling."""
-    scale = np.abs(a)
-    bad = (scale == 0) & (np.abs(delta) > 0)
+    """
+    The factors eta_j = max_k |delta_jk / a_jk| of delta = D a, D
+    diagonal: the class T3_4 covers. A row of delta that is no multiple
+    of a's row, within rounding, raises HypothesisError naming the worst.
+    """
+    ratio = np.divide(delta, a, out=np.zeros_like(a), where=a != 0)
+    fit = ratio[np.arange(a.shape[0]), np.abs(a).argmax(axis=1)][:, None] * a
+    off = np.abs(delta - fit)
+    bad = (off > ROW_SCALING_REL_TOL * np.abs(fit) + ROW_SCALING_ABS_TOL).any(axis=1)
     if bad.any():
+        departure = safe_ratio(off.max(axis=1), np.abs(delta).max(axis=1))
+        j = int(np.argmax(np.where(bad, departure, -1.0)))
         raise HypothesisError(
-            "delta perturbs zero entries of the matrix; not a componentwise "
-            "row-scaled perturbation"
+            f"T3_4 covers delta = D a; row {j} of delta departs from a multiple "
+            f"of row {j} of the matrix by {departure[j]:.3e} relative, beyond rounding"
         )
-    ratio = np.divide(np.abs(delta), scale, out=np.zeros_like(scale), where=scale > 0)
-    return ratio.max(axis=1)
+    return np.abs(ratio).max(axis=1)
 
 
 def cmd_bounds(args):
@@ -207,7 +221,7 @@ def cmd_bounds(args):
         reports = [bound_t3_4(eta, a.shape[1], kappa2=f.stats.kappa2)]
     else:
         stats = f.stats
-        metrics = measure(a, delta)
+        metrics = measure(f, delta)
         if name == "t2":
             reports = list(bound_t2(lev, stats, metrics))
         elif name == "t3_1":

@@ -32,9 +32,9 @@ def _json_matches(value, expected):
         return isinstance(value, list) and all(_json_matches(v, item) for v in value)
     if isinstance(value, bool):  # JSON true/false are never numbers
         return False
-    if expected is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, expected)
+    if isinstance(value, float):  # Python's json also reads NaN and Infinity
+        return expected is float and bool(np.isfinite(value))
+    return isinstance(value, int if expected is float else expected)
 
 
 def _json_describe(expected):
@@ -48,8 +48,8 @@ def _json_describe(expected):
 def check_json_type(value, expected, name):
     """
     Raise ValueError naming `name` unless a JSON-decoded value has the
-    expected type: int (a JSON integer), float (any JSON number), str,
-    list[T] (an array of T), or a union of these.
+    expected type: int (a JSON integer), float (any finite JSON number),
+    str, list[T] (an array of T), or a union of these.
     """
     if _json_matches(value, expected):
         return

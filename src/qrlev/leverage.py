@@ -86,11 +86,11 @@ def leverage_from_basis(q):
 def full_rank_qr(a):
     """
     Householder QR of an m x n matrix, m >= n, checked for full rank
-    through the singular values of r. Returns (q, r, svd_r), where
-    svd_r is jacobi_svd's SvdResult of r (LAPACK dgejsv on the n x n
-    factor), so q @ svd_r.u holds the left singular vectors of a; rank
-    deficiency raises RankDeficiencyError carrying the
-    sigma_min/sigma_max ratio, and a nonzero dgejsv info raises
+    through the singular values of r. Returns the frozen Factorization
+    (a, q, r, svd_r), where svd_r is jacobi_svd's SvdResult of r (LAPACK
+    dgejsv on the n x n factor), so q @ svd_r.u holds the left singular
+    vectors of a; rank deficiency raises RankDeficiencyError carrying
+    the sigma_min/sigma_max ratio, and a nonzero dgejsv info raises
     ConvergenceError. A zero row of a has an exactly zero row of q.
     """
     a = as_matrix(a, "a")

@@ -30,7 +30,6 @@ import numpy as np
 
 from .generate import make_rng
 from .io import check_json_type
-from .leverage import full_rank_qr
 from .linalg import (
     BASIS_TOL,
     _project_out,
@@ -160,10 +159,10 @@ def same_row_scaling_perturbation(a1, eps_f):
 
 def componentwise_row_perturbation(a, eta, rng):
     """
-    Row-scaled perturbation: row j of the result is
-    zeta_j * eta_j * row j of a, with zeta_j drawn once per row,
-    uniform on [-1, 1]. Satisfies |delta_jk| <= eta_j |a_jk| exactly,
-    entry by entry.
+    Row-scaled perturbation delta = D a, the class T3_4 covers: row j
+    of the result is zeta_j * eta_j * row j of a, with zeta_j drawn
+    once per row, uniform on [-1, 1], so D = diag(zeta * eta) and
+    |delta_jk| <= eta_j |a_jk| entry by entry.
     """
     a = as_matrix(a, "a")
     m = a.shape[0]
@@ -216,34 +215,22 @@ def make_perturbation(recipe, a, rng):
     return componentwise_row_perturbation(a, recipe["eta"], rng)
 
 
-def measure(a, delta):
+def measure(f, delta):
     """
-    Measure every relative magnitude of a perturbation.
-
-    Parameters
-    ----------
-    a : (m, n) array_like, m >= n, numerically full rank
-    delta : (m, n) array_like
-
-    Returns
-    -------
-    PerturbationMetrics
-        Normwise, projected-normwise, and per-row magnitudes. Rows of
-        a with zero norm make the corresponding row magnitudes
-        undefined; those entries are NaN.
+    Every relative magnitude of delta as a perturbation of a = f.a,
+    read from f, the Factorization of a that leverage.full_rank_qr
+    returns; a is not factored again. Rows of a with zero norm make
+    their row magnitudes undefined: those entries are NaN.
     """
-    a = as_matrix(a, "a")
     delta = as_matrix(delta, "delta")
-    if a.shape != delta.shape:
+    if f.a.shape != delta.shape:
         raise ValueError(
-            f"dimension mismatch: a is {a.shape}, delta is {delta.shape}"
+            f"dimension mismatch: a is {f.a.shape}, delta is {delta.shape}"
         )
-    f = full_rank_qr(a)
-
     a_two = float(f.svd_r.sigma[0])
-    a_fro = fro_norm(a)
+    a_fro = fro_norm(f.a)
     perp = project_complement(f.q, delta)
-    a_rows = row_norms(a)
+    a_rows = row_norms(f.a)
     return PerturbationMetrics(
         eps_two=two_norm(delta) / a_two,
         eps_fro=fro_norm(delta) / a_fro,

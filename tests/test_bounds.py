@@ -144,7 +144,7 @@ class TestBoundT2:
     def test_projected_zero_for_range_preserving(self):
         a = random_orthonormal(30, 4, 2)
         delta = a @ (1e-3 * gaussian_matrix(4, 4, 3))
-        metrics = measure(a, delta)
+        metrics = measure(full_rank_qr(a), delta)
         projected, general = bound_t2(
             leverage_from_basis(a), matrix_stats(a), metrics
         )
@@ -227,7 +227,7 @@ class TestBoundT33:
     def test_range_preserving_vanishes(self):
         a = random_orthonormal(30, 4, 5)
         delta = a @ (1e-4 * gaussian_matrix(4, 4, 6))
-        report = bound_t3_3(matrix_stats(a), measure(a, delta))
+        report = bound_t3_3(matrix_stats(a), measure(full_rank_qr(a), delta))
         assert np.all(report.per_index_bound <= 1e-12)
 
 
@@ -524,7 +524,8 @@ class TestDeltaQFirstOrder:
         def residual(eps):
             delta = eps * direction
             return np.linalg.norm(
-                qr_q_difference(f, delta) - delta_q_first_order(f, delta)
+                qr_q_difference(f, full_rank_qr(a + delta))
+                - delta_q_first_order(f, delta)
             )
 
         ratio = residual(1e-4) / residual(1e-5)
@@ -537,7 +538,7 @@ class TestDeltaQFirstOrder:
         pred = delta_q_first_order(full_rank_qr(a), delta)
         lev = leverage_from_basis(householder_qr(a).q)
         stats = matrix_stats(a)
-        metrics = measure(a, delta)
+        metrics = measure(full_rank_qr(a), delta)
         rows_pred = np.linalg.norm(pred, axis=1)
         limit = np.sqrt(lev) * (
             metrics.eps_row + np.sqrt(2 * stats.stable_rank) * metrics.eps_fro
@@ -560,13 +561,15 @@ class TestDeltaQFirstOrder:
             rr = triu_half(c + c.T) / eps_f
             return rr, solve_upper(f.r, delta) - eps_f * (f.q @ rr)
 
+        # bounds can factor nothing: it imports no QR.
+        assert not {"full_rank_qr", "householder_qr"} & set(vars(bounds))
         counts = {}
-        for name, fn in (("full_rank_qr", full_rank_qr), ("solve_upper", solve_upper)):
-            def counted(*args, _name=name, _fn=fn, **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(bounds, name, counted)
+        def counted(*args, **kwargs):
+            counts["solve_upper"] = counts.get("solve_upper", 0) + 1
+            return solve_upper(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "solve_upper", counted)
 
         rng = _rngs(DEFAULT_SEED, "rdot", RDOT_PAIRS + 2)[RDOT_PAIRS]
         a = randsvd_matrix(60, 12, 50.0, rng)
@@ -579,7 +582,7 @@ class TestDeltaQFirstOrder:
             counts.clear()
             assert rdot_rinv(f, delta).tobytes() == rr.tobytes()
             assert delta_q_first_order(f, delta).tobytes() == pred.tobytes()
-            assert counts == {"solve_upper": 3}  # no full_rank_qr call
+            assert counts == {"solve_upper": 3}
         rr, _ = formula(f, direction)
         assert rdot_rinv(f, direction).tobytes() == rr.tobytes()
 
@@ -619,7 +622,8 @@ class TestEdgeShapes:
     def test_bound_is_finite_and_holds_where_defined(self, case, tag):
         a, delta = _edge_pair(*case)
         lev, lev_tilde = leverage_qr(a), leverage_qr(a + delta)
-        for report in EDGE_EVALUATORS[tag](lev, matrix_stats(a), measure(a, delta)):
+        f = full_rank_qr(a)
+        for report in EDGE_EVALUATORS[tag](lev, f.stats, measure(f, delta)):
             obs = observed(report.theorem, lev, lev_tilde)
             bound = report.per_index_bound
             defined = ~np.isnan(obs)
@@ -641,15 +645,14 @@ class TestEdgeShapes:
     def test_too_large_a_perturbation_raises_hypothesis_error(self, tag, scale):
         # m = 2n at kappa2 = 1e3 and eps_f = 0.1: kappa2 eps_2 is far above 1.
         a, delta = _edge_pair((12, 6), scale, eps=0.1)
-        lev = leverage_qr(a)
+        f = full_rank_qr(a)
         with pytest.raises(HypothesisError, match=tag):
-            EDGE_EVALUATORS[tag](lev, matrix_stats(a), measure(a, delta))
+            EDGE_EVALUATORS[tag](leverage_qr(a), f.stats, measure(f, delta))
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     def test_zero_column_raises_rank_deficiency_error(self, scale):
         a, delta = _edge_pair((12, 6), scale)
         a[:, 3] = 0.0
-        for fn in (leverage_qr, matrix_stats, lambda x: measure(x, delta),
-                   lambda x: rdot_rinv(full_rank_qr(x), delta)):
+        for fn in (leverage_qr, matrix_stats, full_rank_qr):
             with pytest.raises(RankDeficiencyError):
                 fn(a)

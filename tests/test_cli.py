@@ -6,9 +6,15 @@ import pytest
 
 from qrlev import cli
 from qrlev.cli import _componentwise_eta, main
-from qrlev.generate import GenSpec, random_orthonormal, stepped_orthonormal
+from qrlev.bounds import HypothesisError
+from qrlev.generate import (
+    GenSpec,
+    random_orthonormal,
+    stepped_illconditioned,
+    stepped_orthonormal,
+)
 from qrlev.io import read_matrix, write_matrix
-from qrlev.leverage import matrix_stats
+from qrlev.leverage import full_rank_qr
 from qrlev.perturb import PERTURBATION_FIELDS, componentwise_row_perturbation, measure
 
 # One recipe per perturbation kind holding exactly the fields it reads.
@@ -71,6 +77,11 @@ class TestGen:
             (
                 {"m": 8, "n": 2, "kappa": "1e6", "sv_mode": "randsvd"},
                 'GenSpec: kappa must be a number, got "1e6"',
+            ),
+            # Python's json reads Infinity; as kappa it made a rank-1 matrix.
+            (
+                {"m": 20, "n": 3, "kappa": float("inf"), "sv_mode": "randsvd"},
+                "GenSpec: kappa must be a number, got Infinity",
             ),
         ],
     )
@@ -229,6 +240,17 @@ class TestPerturb:
                 "componentwise_rows eta must be a number or an array of numbers, "
                 "got an array",
             ),
+            # Python's json reads NaN and Infinity: name the field, not
+            # the non-finite matrix they would make.
+            (
+                {"kind": "normwise_fro", "eps": float("nan")},
+                "normwise_fro eps must be a number, got NaN",
+            ),
+            (
+                {"kind": "componentwise_rows", "eta": [1e-8] * 19 + [float("-inf")]},
+                "componentwise_rows eta must be a number or an array of numbers, "
+                "got an array",
+            ),
         ],
     )
     def test_wrong_json_type_exits_one(self, tmp_path, capsys, recipe, message):
@@ -324,6 +346,56 @@ class TestBounds:
             np.testing.assert_allclose(eta, _componentwise_eta(a, delta), rtol=1e-9)
         np.testing.assert_allclose(bounds[1], bounds[0], rtol=1e-9)
 
+    def test_t3_4_entrywise_delta_exits_one(self, tmp_path, capsys):
+        # |delta_jk| <= 1e-8 |a_jk| entry by entry, but not delta = D a:
+        # T3_4 does not cover it. Reported as a bound, 99.2% of indices
+        # exceeded it, by up to 877x.
+        a = stepped_illconditioned(42)
+        zeta = np.random.default_rng(42).uniform(-1.0, 1.0, a.shape)
+        mat, dlt = tmp_path / "a.txt", tmp_path / "d.txt"
+        write_matrix(a, mat)
+        write_matrix(zeta * 1e-8 * a, dlt)
+        out = tmp_path / "r.csv"
+        code = run([
+            "bounds", "t3_4", "--matrix", str(mat), "--delta", str(dlt),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "T3_4 covers delta = D a; row " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [42, 3, 7])
+    def test_t3_4_row_scaling_passes_after_text_round_trip(self, tmp_path, seed):
+        a = stepped_illconditioned(seed)
+        delta = componentwise_row_perturbation(a, 1e-8, seed)
+        mat, dlt = tmp_path / "a.txt", tmp_path / "d.txt"
+        write_matrix(a, mat)
+        write_matrix(delta, dlt)
+        assert run([
+            "bounds", "t3_4", "--matrix", str(mat), "--delta", str(dlt),
+            "--out", str(tmp_path / "r.csv"),
+        ]) == 0
+
+    def test_componentwise_eta_allows_rounding_and_names_the_worst_row(self):
+        a = np.random.default_rng(3).standard_normal((20, 4))
+        d = np.random.default_rng(4).uniform(-1e-8, 1e-8, 20)
+        delta = d[:, None] * a
+        np.testing.assert_array_equal(
+            _componentwise_eta(a, delta), np.abs(delta / a).max(axis=1)
+        )
+        # One ulp on one entry is rounding; 1e-12 and 1e-10 are not.
+        delta[2, 1] = np.nextafter(delta[2, 1], np.inf)
+        _componentwise_eta(a, delta)
+        delta[5, 2] *= 1.0 + 1e-12
+        delta[11, 0] *= 1.0 + 1e-10
+        with pytest.raises(HypothesisError, match="row 11 of delta departs"):
+            _componentwise_eta(a, delta)
+        # A perturbed zero entry of a is no row scaling either.
+        a[7, 3], delta = 0.0, d[:, None] * a
+        delta[7, 3] = 1e-300
+        with pytest.raises(HypothesisError, match="row 7 of delta departs"):
+            _componentwise_eta(a, delta)
+
     def test_t3_4_hypothesis_violation_exit_one(self, tmp_path, capsys):
         # eta * kappa2 >= 1: componentwise scaling of an
         # ill-conditioned matrix with a large eta.
@@ -357,7 +429,8 @@ class TestBounds:
             "--metrics-out", str(tmp_path / "m.json"),
         ]) == 0
         a, delta = read_matrix(mat), read_matrix(dlt)
-        product = measure(a, delta).eps_two * matrix_stats(a).kappa2
+        f = full_rank_qr(a)
+        product = measure(f, delta).eps_two * f.stats.kappa2
         capsys.readouterr()
         out = tmp_path / "r.csv"
         code = run([
@@ -371,13 +444,16 @@ class TestBounds:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize(("name", "qr_calls"), [("t3_1", 5), ("t3_4", 2)])
+    @pytest.mark.parametrize(
+        ("name", "qr_calls"),
+        [("t2", 4), ("t3_1", 4), ("t3_2", 4), ("t3_3", 4), ("t3_4", 2)],
+    )
     def test_factorizations_of_a_are_not_repeated(
         self, tmp_path, factorization_calls, name, qr_calls
     ):
-        # An upper bound, not a pin. t3_4 factors a and a + delta once
-        # each; t3_1 adds measure's own factorization of a and the QR
-        # inside two_norm of delta and of its projection.
+        # An upper bound, not a pin. Every bound factors a and a + delta
+        # once each; measure reads a's factorization and adds only the
+        # QR inside two_norm of delta and of its projection.
         a = np.random.default_rng(1).standard_normal((30, 4))
         delta = componentwise_row_perturbation(a, 1e-8, 2)
         mat, dlt = tmp_path / "a.txt", tmp_path / "d.txt"

@@ -394,6 +394,19 @@ class TestOtherFigures:
         ]
         assert any(logged in line for line in lines), lines
 
+    @pytest.mark.parametrize(
+        ("figure", "qr_calls", "svd_calls"),
+        [("fig3", 8, 7), ("fig4", 8, 7), ("fig5", 7, 4)],
+    )
+    def test_base_matrix_factored_once(
+        self, factorization_calls, figure, qr_calls, svd_calls
+    ):
+        # Upper bounds, not pins: one full_rank_qr per base matrix, which
+        # measure and the bounds read. fig2 is left to perfbench's tally.
+        FIGURE_RUNNERS[figure](SEED)
+        assert factorization_calls["householder_qr"] <= qr_calls
+        assert factorization_calls["jacobi_svd"] <= svd_calls
+
     def test_fig4_local_and_global_effects(self):
         panels = by_name(run_fig4(SEED))
         rel_a = panels["a"].observed

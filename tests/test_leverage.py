@@ -136,8 +136,9 @@ class TestEdgeShapes:
         assert scaled.tobytes() == leverage_qr(a).tobytes()
         assert matrix_stats(np.ldexp(a, exponent)) == matrix_stats(a)
         delta = 1e-8 * np.random.default_rng(2).standard_normal(shape)
-        got = measure(np.ldexp(a, exponent), np.ldexp(delta, exponent))
-        want = measure(a, delta)
+        scaled_f = full_rank_qr(np.ldexp(a, exponent))
+        got = measure(scaled_f, np.ldexp(delta, exponent))
+        want = measure(full_rank_qr(a), delta)
         for field in dataclasses.fields(want):
             x, y = getattr(got, field.name), getattr(want, field.name)
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
@@ -152,7 +153,7 @@ class TestEdgeShapes:
         stats = matrix_stats(a)
         assert stats.kappa2 >= 1.0
         assert stats.stable_rank <= n * (1.0 + 4.0 * np.finfo(np.float64).eps)
-        metrics = measure(a, 1e-8 * rng.standard_normal((m, n)))
+        metrics = measure(full_rank_qr(a), 1e-8 * rng.standard_normal((m, n)))
         assert np.all(np.isfinite(metrics.eps_row))
         assert 0.0 < metrics.eps_fro < 1e-6
 
@@ -161,7 +162,7 @@ class TestEdgeShapes:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((12, 3))
         a[rows] = 0.0
-        metrics = measure(a, 1e-8 * rng.standard_normal((12, 3)))
+        metrics = measure(full_rank_qr(a), 1e-8 * rng.standard_normal((12, 3)))
         zero = np.isin(np.arange(12), rows)
         np.testing.assert_array_equal(np.isnan(metrics.eps_row), zero)
         np.testing.assert_array_equal(np.isnan(metrics.eps_row_perp), zero)
@@ -173,14 +174,14 @@ class TestEdgeShapes:
         a[:3, :3] = np.diag([1.0, 1.0, factor * RANK_TOL_FACTOR * m])
         delta = np.full((m, 3), 1e-20)
         if not full_rank:
-            for fn in (lambda: matrix_stats(a), lambda: measure(a, delta)):
+            for fn in (lambda: matrix_stats(a), lambda: measure(full_rank_qr(a), delta)):
                 with pytest.raises(RankDeficiencyError):
                     fn()
             return
         stats = matrix_stats(a)
         assert stats.kappa2 == pytest.approx(1.0 / (factor * RANK_TOL_FACTOR * m))
         assert 1.0 <= stats.stable_rank <= 3
-        assert np.isnan(measure(a, delta).eps_row[3:]).all()
+        assert np.isnan(measure(full_rank_qr(a), delta).eps_row[3:]).all()
 
     @pytest.mark.parametrize("row", [3, 6, 9])
     def test_zero_row_below_n_scores_exactly_zero(self, row):

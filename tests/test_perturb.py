@@ -3,7 +3,8 @@ import pytest
 
 from qrlev.angles import principal_angles
 from qrlev.generate import random_orthonormal, stepped_orthonormal
-from qrlev.linalg import BASIS_TOL, ORTH_TOL, RankDeficiencyError, gram_residual
+from qrlev.leverage import full_rank_qr
+from qrlev.linalg import BASIS_TOL, ORTH_TOL, gram_residual
 from qrlev.perturb import (
     componentwise_row_perturbation,
     make_perturbation,
@@ -75,13 +76,13 @@ class TestNormwise:
     def test_two_norm_magnitude_exact(self):
         a = stepped_orthonormal(42)
         delta = normwise_perturbation(a, 1e-8, "two", 5)
-        metrics = measure(a, delta)
+        metrics = measure(full_rank_qr(a), delta)
         assert abs(metrics.eps_two - 1e-8) <= 1e-20
 
     def test_fro_magnitude_exact(self):
         a = stepped_orthonormal(42)
         delta = normwise_perturbation(a, 1e-5, "fro", 6)
-        metrics = measure(a, delta)
+        metrics = measure(full_rank_qr(a), delta)
         assert abs(metrics.eps_fro - 1e-5) <= 1e-17
 
     def test_bad_norm_name(self):
@@ -95,7 +96,7 @@ class TestRowSubset:
         delta = row_subset_perturbation(a, 500, 750, 1e-8, 9)
         assert np.array_equal(delta[:500], np.zeros((500, 25)))
         assert np.array_equal(delta[750:], np.zeros((250, 25)))
-        metrics = measure(a, delta)
+        metrics = measure(full_rank_qr(a), delta)
         assert abs(metrics.eps_fro - 1e-8) <= 1e-20
         assert np.all(metrics.eps_row[:500] == 0.0)
         assert np.all(metrics.eps_row[750:] == 0.0)
@@ -131,7 +132,7 @@ class TestSameRowScaling:
 
         a = stepped_orthonormal(42)
         delta = same_row_scaling_perturbation(stepped_gaussian(99), 1e-8)
-        metrics = measure(a, delta)
+        metrics = measure(full_rank_qr(a), delta)
         blocks = (slice(0, 250), slice(250, 500), slice(500, 750), slice(750, 1000))
         medians = [float(np.median(metrics.eps_row[b])) for b in blocks]
         assert max(medians) / min(medians) <= 3.0
@@ -179,19 +180,19 @@ class TestComponentwiseRows:
 
 class TestMeasure:
     def test_counterexample_exact(self):
-        metrics = measure(CROSS, CROSS_DELTA)
+        metrics = measure(full_rank_qr(CROSS), CROSS_DELTA)
         assert metrics.eps_row[2] == 0.0
         assert abs(metrics.eps_row_perp[2] - 1.0) <= 1e-14
 
     def test_range_preserving_perp_vanishes(self):
         a = random_orthonormal(30, 4, 2)
         delta = a @ np.random.default_rng(3).standard_normal((4, 4)) * 1e-3
-        metrics = measure(a, delta)
+        metrics = measure(full_rank_qr(a), delta)
         assert metrics.eps_two_perp <= 1e-13
 
     def test_zero_delta(self):
         a = random_orthonormal(10, 3, 1)
-        metrics = measure(a, np.zeros_like(a))
+        metrics = measure(full_rank_qr(a), np.zeros_like(a))
         assert metrics.eps_two == 0.0
         assert metrics.eps_fro == 0.0
         assert metrics.eps_two_perp == 0.0
@@ -204,23 +205,29 @@ class TestMeasure:
             m = int(rng.integers(n, 100))
             a = rng.standard_normal((m, n))
             delta = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 0)
-            metrics = measure(a, delta)
+            metrics = measure(full_rank_qr(a), delta)
             assert metrics.eps_two_perp <= metrics.eps_two + 1e-14
             assert metrics.eps_fro_perp <= metrics.eps_fro + 1e-14
 
     def test_zero_row_flagged(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        metrics = measure(a, np.full_like(a, 1e-6))
+        metrics = measure(full_rank_qr(a), np.full_like(a, 1e-6))
         assert np.isnan(metrics.eps_row[1])
         assert np.isnan(metrics.eps_row_perp[1])
 
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficiencyError):
-            measure(np.ones((5, 2)), np.zeros((5, 2)))
+    def test_factors_only_delta_and_its_projection(self, factorization_calls):
+        # The two-norms of delta and (I - P) delta each take one tall
+        # SVD (a QR, then dgejsv on r); a itself is not factored again.
+        a = np.random.default_rng(8).standard_normal((40, 5))
+        f = full_rank_qr(a)
+        factorization_calls.update(householder_qr=0, jacobi_svd=0)
+        measure(f, 1e-8 * np.random.default_rng(9).standard_normal((40, 5)))
+        assert factorization_calls["householder_qr"] <= 2
+        assert factorization_calls["jacobi_svd"] <= 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            measure(np.eye(4), np.eye(3))
+            measure(full_rank_qr(np.eye(4)), np.eye(3))
 
 
 class TestPerturbationSpec:
