@@ -13,7 +13,8 @@ T2_gen       relative difference vs. general two-norm perturbation
 T3_1         relative difference vs. Frobenius perturbation through QR
 T3_2         first order, recognizes row scaling (local + global term)
 T3_3         first order, projected variant of T3_2
-T3_4         first order, row scalings delta = D a (D diagonal)
+T3_4         first order, row scalings delta = D a (D diagonal),
+             recognized by row_scaling_eta
 
 Each bound_* evaluator only evaluates: it reads the scores and the
 perturbation sizes and returns the per-index bound, never the observed
@@ -293,6 +294,35 @@ def bound_t3_4(eta, n, kappa2):
     _check_hypothesis(eta_max * kappa2, 1, True, "T3_4", "max(eta) * kappa2")
     bound = 2.0 * (eta + np.sqrt(2.0) * n * eta_max)
     return BoundReport(theorem="T3_4", per_index_bound=bound)
+
+
+# fl(d_j a_jk) and c_j a_jk, c_j the ratio at the row's largest |a_jk|, differ
+# by 4u |c_j a_jk| + 3 * 2**-1075 (underflow) to first order; allow twice that.
+ROW_SCALING_REL_TOL = 2.0**-50  # 8u, u = 2**-53
+ROW_SCALING_ABS_TOL = 2.0**-1072
+
+
+def row_scaling_eta(a, delta):
+    """
+    The factors eta_j = max_k |delta_jk / a_jk| of delta = D a, D
+    diagonal: the class bound_t3_4 covers. A row of delta that is no
+    multiple of a's row, within rounding, raises HypothesisError naming
+    the worst.
+    """
+    ratio = np.divide(delta, a, out=np.zeros_like(a), where=a != 0)
+    fit = ratio[np.arange(a.shape[0]), np.abs(a).argmax(axis=1)][:, None] * a
+    off = np.abs(delta - fit)
+    bad = (off > ROW_SCALING_REL_TOL * np.abs(fit) + ROW_SCALING_ABS_TOL).any(axis=1)
+    if bad.any():
+        departure = safe_ratio(off.max(axis=1), np.abs(delta).max(axis=1))
+        j = int(np.argmax(np.where(bad, departure, -1.0)))
+        raise HypothesisError(
+            f"T3_4 covers delta = D a; row {j} of delta departs from a multiple "
+            f"of row {j} of the matrix by {departure[j]:.3e} relative, beyond "
+            "rounding. A difference of two matrices carries rounding of order "
+            "u |a_jk|: form delta as d[:, None] * a"
+        )
+    return np.abs(ratio).max(axis=1)
 
 
 def _rdot_rinv_matrix(f, delta, eps_f):

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrlev import acceptance, angles, experiments, leverage, linalg
-from qrlev.bounds import bound_c1, bound_t1
+from qrlev import acceptance, angles, bounds, experiments, leverage, linalg
+from qrlev.bounds import EXACT_ABS_SLACK, bound_c1, bound_t1
 from qrlev.experiments import FigurePanel
 from qrlev.generate import gaussian_matrix, random_orthonormal, randsvd_matrix
 from qrlev.leverage import leverage_from_basis, leverage_qr, leverage_svd
@@ -349,6 +349,23 @@ def test_criterion_3_fails_on_a_small_error_in_the_projected_sines(monkeypatch):
     monkeypatch.setattr(acceptance, "principal_angles", recording)
     monkeypatch.setattr(angles, "jacobi_svd", perturbed)
     res = acceptance.criterion_3({"seed": acceptance.DEFAULT_SEED})
+    assert not res.passed, res.detail
+
+
+def test_criterion_5_fails_on_one_index_outside_the_enclosure(monkeypatch):
+    # The first instance's score 7 lands just above its upper bound.
+    calls = []
+
+    def one_outside(report, pert_lev):
+        if not calls:
+            pert_lev = pert_lev.copy()
+            pert_lev[7] = report.upper[7] + 2.0 * EXACT_ABS_SLACK
+        calls.append(1)
+        return bounds.sandwich_holds(report, pert_lev)
+
+    monkeypatch.setattr(acceptance, "sandwich_holds", one_outside)
+    res = acceptance.criterion_5({"seed": acceptance.DEFAULT_SEED})
+    assert len(calls) == acceptance.SANDWICH_INSTANCES
     assert not res.passed, res.detail
 
 

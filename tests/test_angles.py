@@ -74,6 +74,10 @@ class TestSinThetaMaxProjector:
         q = random_orthonormal(25, 3, 2)
         assert sin_theta_max_projector(q, q) <= 1e-12
 
+    def test_equal_subspaces_exactly_zero(self):
+        # Exact bases of one subspace leave an exactly zero projection.
+        assert sin_theta_max_projector(e_cols(6, [0, 2, 4]), e_cols(6, [4, 0, 2])) == 0.0
+
     def test_orthogonal_lines(self):
         assert sin_theta_max_projector(e_cols(2, [0]), e_cols(2, [1])) == pytest.approx(
             1.0, abs=1e-15

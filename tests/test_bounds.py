@@ -257,6 +257,30 @@ class TestBoundT34:
             bound_t3_4(np.array([-1e-8]), 25, kappa2=1.0)
 
 
+@pytest.mark.parametrize(
+    ("evaluate", "message"),
+    [
+        (lambda: bound_t1(np.full((3, 2), 0.5), angles_of(0.0, n=2)), "one-dimensional"),
+        (lambda: bound_c1(np.full((3, 2), 0.5), angles_of(0.0, n=2)), "one-dimensional"),
+        (lambda: bound_t2(np.full((3, 2), 0.5), stats_of(), metrics_of()),
+         "one-dimensional"),
+        (lambda: bound_t3_1(np.full((3, 2), 0.5), stats_of(), metrics_of()),
+         "one-dimensional"),
+        (lambda: sandwich_holds(bound_c1(np.full(4, 0.5), angles_of(0.0, n=2)),
+                                np.full(4, 0.5)),
+         "carries no sandwich"),
+        (lambda: bound_t3_4(np.zeros((3, 1)), 25, kappa2=1.0), "eta must be one-dim"),
+        (lambda: rdot_rinv(full_rank_qr(np.eye(4)[:, :2]), np.ones((3, 2))),
+         "equal shapes"),
+    ],
+    ids=["t1_scores", "c1_scores", "t2_scores", "t3_1_scores", "no_sandwich",
+         "t3_4_eta", "rdot_rinv_shapes"],
+)
+def test_malformed_input_rejected(evaluate, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate()
+
+
 def test_monotone_in_perturbation_magnitude():
     lev = np.array([1e-6, 0.03, 0.4, 0.97])
     for x in (1e-9, 1e-6):

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from qrlev import cli
-from qrlev.cli import _componentwise_eta, main
-from qrlev.bounds import HypothesisError
+from qrlev import acceptance, cli
+from qrlev.cli import main
+from qrlev.bounds import HypothesisError, check_policy, row_scaling_eta
 from qrlev.generate import (
     GenSpec,
     random_orthonormal,
@@ -136,6 +136,28 @@ class TestPerturb:
         assert np.linalg.norm(delta) / np.linalg.norm(a) == pytest.approx(1e-6, rel=1e-12)
         metrics = json.loads(metrics_path.read_text())
         assert metrics["eps_fro"] == pytest.approx(1e-6, rel=1e-10)
+
+    def test_metrics_go_to_the_file_or_else_to_stdout(self, tmp_path, capsys):
+        mat, cfg = tmp_path / "a.txt", tmp_path / "p.json"
+        write_matrix(np.random.default_rng(3).standard_normal((20, 4)), mat)
+        cfg.write_text(json.dumps({"kind": "normwise_fro", "eps": 1e-6}))
+        delta_path, metrics_path = tmp_path / "d.txt", tmp_path / "m.json"
+        argv = ["perturb", str(mat), "--config", str(cfg), "--out", str(delta_path)]
+        assert run(argv + ["--metrics-out", str(metrics_path)]) == 0
+        assert capsys.readouterr().out == f"{delta_path}\n{metrics_path}\n"
+        assert run(argv) == 0
+        assert capsys.readouterr().out == f"{delta_path}\n" + metrics_path.read_text()
+
+    def test_requires_config_exits_two(self, tmp_path, capsys):
+        mat = tmp_path / "a.txt"
+        write_matrix(np.eye(4)[:, :2], mat)
+        with pytest.raises(SystemExit) as excinfo:
+            run(["perturb", str(mat), "--out", str(tmp_path / "d.txt")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qrlev perturb")
+        assert "the following arguments are required: --config" in err
+        assert not (tmp_path / "d.txt").exists()
 
     @pytest.mark.parametrize(
         ("spec", "message"),
@@ -342,8 +364,8 @@ class TestBounds:
                 "--format", "json",
             ]) == 0
             bounds.append([r["bound"] for r in json.loads(capsys.readouterr().out)])
-            eta = _componentwise_eta(read_matrix(mat), read_matrix(dlt))
-            np.testing.assert_allclose(eta, _componentwise_eta(a, delta), rtol=1e-9)
+            eta = row_scaling_eta(read_matrix(mat), read_matrix(dlt))
+            np.testing.assert_allclose(eta, row_scaling_eta(a, delta), rtol=1e-9)
         np.testing.assert_allclose(bounds[1], bounds[0], rtol=1e-9)
 
     def test_t3_4_entrywise_delta_exits_one(self, tmp_path, capsys):
@@ -376,25 +398,46 @@ class TestBounds:
             "--out", str(tmp_path / "r.csv"),
         ]) == 0
 
+    def test_t3_4_refusal_says_how_to_form_delta(self, tmp_path, capsys):
+        # (1 + d) a - a is D a up to the rounding of the subtraction,
+        # about u |a_jk|: far above the rounding of fl(d_j a_jk).
+        a = stepped_illconditioned(42)
+        d = np.random.default_rng(1).uniform(-1e-8, 1e-8, a.shape[0])
+        mat, dlt = tmp_path / "a.txt", tmp_path / "d.txt"
+        write_matrix(a, mat)
+        write_matrix((1 + d)[:, None] * a - a, dlt)
+        assert run(["bounds", "t3_4", "--matrix", str(mat), "--delta", str(dlt)]) == 1
+        assert capsys.readouterr().err == (
+            "qrlev bounds: T3_4 covers delta = D a; row 139 of delta departs from a "
+            "multiple of row 139 of the matrix by 8.526e-06 relative, beyond rounding. "
+            "A difference of two matrices carries rounding of order u |a_jk|: "
+            "form delta as d[:, None] * a\n"
+        )
+        write_matrix(d[:, None] * a, dlt)
+        assert run([
+            "bounds", "t3_4", "--matrix", str(mat), "--delta", str(dlt),
+            "--out", str(tmp_path / "r.csv"),
+        ]) == 0
+
     def test_componentwise_eta_allows_rounding_and_names_the_worst_row(self):
         a = np.random.default_rng(3).standard_normal((20, 4))
         d = np.random.default_rng(4).uniform(-1e-8, 1e-8, 20)
         delta = d[:, None] * a
         np.testing.assert_array_equal(
-            _componentwise_eta(a, delta), np.abs(delta / a).max(axis=1)
+            row_scaling_eta(a, delta), np.abs(delta / a).max(axis=1)
         )
         # One ulp on one entry is rounding; 1e-12 and 1e-10 are not.
         delta[2, 1] = np.nextafter(delta[2, 1], np.inf)
-        _componentwise_eta(a, delta)
+        row_scaling_eta(a, delta)
         delta[5, 2] *= 1.0 + 1e-12
         delta[11, 0] *= 1.0 + 1e-10
         with pytest.raises(HypothesisError, match="row 11 of delta departs"):
-            _componentwise_eta(a, delta)
+            row_scaling_eta(a, delta)
         # A perturbed zero entry of a is no row scaling either.
         a[7, 3], delta = 0.0, d[:, None] * a
         delta[7, 3] = 1e-300
         with pytest.raises(HypothesisError, match="row 7 of delta departs"):
-            _componentwise_eta(a, delta)
+            row_scaling_eta(a, delta)
 
     def test_t3_4_hypothesis_violation_exit_one(self, tmp_path, capsys):
         # eta * kappa2 >= 1: componentwise scaling of an
@@ -446,22 +489,35 @@ class TestBounds:
 
     @pytest.mark.parametrize(
         ("name", "qr_calls"),
-        [("t2", 4), ("t3_1", 4), ("t3_2", 4), ("t3_3", 4), ("t3_4", 2)],
+        [("t1", 3), ("c1", 3), ("t2", 4), ("t3_1", 4), ("t3_2", 4), ("t3_3", 4),
+         ("t3_4", 2)],
     )
     def test_factorizations_of_a_are_not_repeated(
         self, tmp_path, factorization_calls, name, qr_calls
     ):
         # An upper bound, not a pin. Every bound factors a and a + delta
         # once each; measure reads a's factorization and adds only the
-        # QR inside two_norm of delta and of its projection.
-        a = np.random.default_rng(1).standard_normal((30, 4))
+        # QR inside two_norm of delta and of its projection; t1 and c1
+        # factor nothing more. They run at m = 2n, where T1 also
+        # carries the enclosure.
+        m = 8 if name in ("t1", "c1") else 30
+        a = np.random.default_rng(1).standard_normal((m, 4))
         delta = componentwise_row_perturbation(a, 1e-8, 2)
-        mat, dlt = tmp_path / "a.txt", tmp_path / "d.txt"
+        mat, dlt, out = tmp_path / "a.txt", tmp_path / "d.txt", tmp_path / "r.csv"
         write_matrix(a, mat)
         write_matrix(delta, dlt)
         argv = ["bounds", name, "--matrix", str(mat), "--delta", str(dlt)]
-        assert run(argv + ["--out", str(tmp_path / "r.csv")]) == 0
+        assert run(argv + ["--out", str(out)]) == 0
         assert factorization_calls["householder_qr"] <= qr_calls
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        tags = {"t1": ["T1_abs"], "c1": ["C1_rel"], "t2": ["T2_perp", "T2_gen"]}
+        tags = tags.get(name, [name.upper()])
+        assert [r[6] for r in rows] == [tag for tag in tags for _ in range(m)]
+        for tag in tags:
+            obs, bnd = np.array(
+                [[float(r[4] or "nan"), float(r[5] or "nan")] for r in rows if r[6] == tag]
+            ).T
+            assert check_policy(obs, bnd, tag).ok
 
     def test_t2_json(self, tmp_path):
         a = np.random.default_rng(5).standard_normal((25, 3))
@@ -478,6 +534,31 @@ class TestBounds:
         records = json.loads(out.read_text())
         assert {r["theorem"] for r in records} == {"T2_perp", "T2_gen"}
         assert all(r["observed"] <= r["bound"] * 1.001 + 1e-12 for r in records)
+
+    def test_json_null_where_csv_is_empty(self, tmp_path):
+        # A zero row of a has score 0, so its relative difference and
+        # the T3_1 bound there are undefined: an empty CSV field, and
+        # null, not the NaN strict JSON parsers reject, in JSON.
+        a = np.random.default_rng(1).standard_normal((30, 4))
+        a[5] = 0.0
+        delta = 1e-8 * np.random.default_rng(2).standard_normal((30, 4))
+        mat, dlt = tmp_path / "a.txt", tmp_path / "d.txt"
+        write_matrix(a, mat)
+        write_matrix(delta, dlt)
+        argv = ["bounds", "t3_1", "--matrix", str(mat), "--delta", str(dlt), "--out"]
+        assert run(argv + [str(tmp_path / "r.csv")]) == 0
+        assert run(argv + [str(tmp_path / "r.json"), "--format", "json"]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        records = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
+        rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()]
+        assert len(records) == len(rows) - 1 == 30
+        for rec, row in zip(records, rows[1:]):
+            for key, text in (("ell", row[2]), ("observed", row[4]), ("bound", row[5])):
+                assert rec[key] == (float(text) if text else None)
+        assert records[5]["observed"] is None and records[5]["bound"] is None
 
 
 class TestBadMatrixFiles:
@@ -580,7 +661,7 @@ class TestUsage:
             ["bounds", "t1", "--matrix", "a", "--delta", "d", "--seed", "1"],
             ["bounds", "t1", "--matrix", "a", "--delta", "d", "--config", "c.json"],
             ["gen", "--preset", "stepped", "--format", "json"],
-            ["perturb", "a.txt", "--format", "json"],
+            ["perturb", "a.txt", "--config", "c.json", "--format", "json"],
             ["figure", "1", "--format", "json"],
             ["figure", "4", "--config", "x.json"],
         ],
@@ -590,6 +671,20 @@ class TestUsage:
             run(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("argv", "seed"),
+        [
+            (["gen", "--preset", "stepped"], 0),
+            (["perturb", "a.txt", "--config", "c.json"], 0),
+            (["figure", "1"], 0),
+            (["check"], acceptance.DEFAULT_SEED),
+            (["check", "--seed", "3"], 3),
+        ],
+        ids=["gen", "perturb", "figure", "check", "check_seed_3"],
+    )
+    def test_seed_default(self, argv, seed):
+        assert cli.build_parser().parse_args(argv).seed == seed
 
 
 class TestBlasThreads:

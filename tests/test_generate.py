@@ -128,6 +128,24 @@ class TestGenSpec:
         with pytest.raises(ValueError, match="sum to m"):
             GenSpec(m=10, n=2, block_sizes=[4, 4], block_scales=[1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ({"m": 0, "n": 2}, "dimensions must be positive"),
+            ({"m": 4, "n": 0}, "dimensions must be positive"),
+            ({"m": 8, "n": 2, "block_sizes": [4, 4], "block_scales": [1.0]},
+             "must have equal length"),
+            ({"m": 8, "n": 2, "block_sizes": [4, 4], "block_scales": [1.0, 0.0]},
+             "block_scales must be positive"),
+            ({"m": 8, "n": 2, "kappa": 0.5, "sv_mode": "randsvd"},
+             "kappa must be at least 1"),
+            ({"m": 2, "n": 4, "sv_mode": "orthonormal"}, "needs m >= n"),
+        ],
+    )
+    def test_invalid_field_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            GenSpec(**fields)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="sv_mode"):
             GenSpec(m=4, n=2, sv_mode="mystery")

@@ -46,6 +46,11 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([1.0, 2.0])
 
 
+def test_as_matrix_rejects_empty():
+    with pytest.raises(ValueError, match="must be nonempty"):
+        as_matrix(np.zeros((0, 3)))
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("index", [0, 7, 14])
 def test_as_matrix_rejects_nonfinite_anywhere(bad, index):

@@ -66,6 +66,20 @@ class TestRotation:
             rotation_perturbation(q, 0.1, 2)
 
 
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        lambda a: normwise_perturbation(a, -1e-8, "fro", 1),
+        lambda a: row_subset_perturbation(a, 0, 2, -1e-8, 1),
+        lambda a: same_row_scaling_perturbation(a, -1e-8),
+    ],
+    ids=["normwise", "row_subset", "same_row_scaling"],
+)
+def test_negative_magnitude_rejected(perturb):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        perturb(np.ones((4, 3)))
+
+
 class TestNormwise:
     def test_zero_eps(self):
         a = np.ones((4, 3))
@@ -113,6 +127,10 @@ class TestRowSubset:
         assert np.linalg.norm(delta, "fro") == pytest.approx(
             1e-4 * np.linalg.norm(a, "fro"), rel=1e-12
         )
+
+    def test_zero_eps(self):
+        delta = row_subset_perturbation(np.ones((4, 3)), 1, 3, 0.0, 1)
+        np.testing.assert_array_equal(delta, np.zeros((4, 3)))
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="row range"):
