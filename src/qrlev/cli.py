@@ -148,9 +148,9 @@ def _json_column(values):
 def cmd_perturb(args):
     a = read_matrix(args.matrix)
     delta = make_perturbation(_load_json(args.config), a, args.seed)
+    metrics = measure(full_rank_qr(a), delta)
     write_matrix(delta, args.out)
     print(args.out)
-    metrics = measure(full_rank_qr(a), delta)
     payload = {
         "eps_two": metrics.eps_two,
         "eps_fro": metrics.eps_fro,
@@ -257,15 +257,22 @@ COMMANDS = {
 }
 
 
+def _configure_logging():
+    """Log to stderr at the level QRLEV_LOGLEVEL names (default INFO)."""
+    level = os.environ.get("QRLEV_LOGLEVEL", "INFO")
+    try:
+        logging.basicConfig(
+            level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
+        )
+    except ValueError as exc:
+        raise ValueError(f"QRLEV_LOGLEVEL: {exc}") from None
+
+
 def main(argv=None):
-    logging.basicConfig(
-        level=os.environ.get("QRLEV_LOGLEVEL", "INFO"),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _configure_logging()
         with blas_threads(1):
             return COMMANDS[args.command](args)
     except (ValueError, BoundViolationError, OSError) as exc:

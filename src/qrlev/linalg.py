@@ -2,11 +2,16 @@
 Dense linear-algebra kernels: Householder QR, one-sided Jacobi SVD,
 norms, projector application, and triangular half-splitting.
 
-The QR runs in scipy's LAPACK (dgeqrf and dorgqr through
-scipy.linalg.lapack), in scipy's OpenBLAS thread pool, with its signs
-normalized so that diag(r) >= 0. It takes the workspace LAPACK reports
-as optimal and returns q C-ordered, which keeps its bits those of
-numpy's own QR at one BLAS thread (householder_qr's Notes say why).
+LAPACK runs through scipy's compiled f2py wrappers, the module
+scipy.linalg._flapack that scipy.linalg.lapack re-exports, loaded
+without scipy.linalg's Python layer (_load_flapack says why and how).
+The QR runs in LAPACK's dgeqrf and dorgqr, in scipy's OpenBLAS thread
+pool, with its signs normalized so that diag(r) >= 0. It takes the
+workspace LAPACK reports as optimal and returns q C-ordered, which
+keeps its bits those of numpy's own QR at one BLAS thread
+(householder_qr's Notes say why). solve_upper calls dtrtrs with the
+arguments scipy's solve_triangular passes, so its bits are that
+function's.
 The entry points (acceptance.run_all, experiments.run_figure,
 cli.main) run inside blas_threads(1), which holds numpy's and scipy's
 OpenBLAS pools at one thread: at the lab's n <= 100 a second thread
@@ -29,12 +34,61 @@ project_complement.
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgejsv, dgeqrf, dgeqrf_lwork, dorgqr
+
+# scipy's compiled LAPACK wrappers, the module scipy.linalg.lapack
+# re-exports.
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack(directory=None):
+    """
+    scipy.linalg._flapack, without running scipy/linalg/__init__.py
+    where that can be avoided: that file imports scipy's array-API
+    layer (numpy.f2py, numpy.testing, numpy.ma), which takes most of
+    scipy.linalg's import time and none of which qrlev calls.
+
+    The module comes from sys.modules if scipy.linalg (or an earlier
+    call) has loaded it; else from the extension file in directory
+    (default: scipy's linalg directory), which registers itself in
+    sys.modules, so a later import of scipy.linalg reuses it; else,
+    where no such file exists (an editable scipy build), from a normal
+    import. All three are the same module.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    if directory is None:
+        import scipy
+
+        directory = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = Path(directory) / f"_flapack{suffix}"
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, str(path))
+            spec = importlib.util.spec_from_file_location(
+                _FLAPACK, path, loader=loader
+            )
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+            return module
+    return importlib.import_module(_FLAPACK)
+
+
+_flapack = _load_flapack()
+dgejsv = _flapack.dgejsv
+dgeqrf = _flapack.dgeqrf
+dgeqrf_lwork = _flapack.dgeqrf_lwork
+dorgqr = _flapack.dorgqr
+dtrtrs = _flapack.dtrtrs
 
 # Gram residual allowed for a matrix to count as orthonormal, relative
 # to the column count.
@@ -330,8 +384,30 @@ def triu_half(z):
 
 
 def solve_upper(r, b):
-    """b r**-1 for upper-triangular r: the solution x of x r = b."""
-    return solve_triangular(r, b.T, trans="T", lower=False).T
+    """
+    b r**-1 for upper-triangular r: the solution x of x r = b.
+
+    LAPACK's dtrtrs solves r^T x^T = b^T with the arguments scipy's
+    solve_triangular(r, b.T, trans="T") passes, so the bits are its
+    bits: an F-ordered r is solved as upper with trans, any other as
+    the lower triangle of r.T without, and the two orders round
+    differently. Non-finite entries raise ValueError, a zero on r's
+    diagonal LinAlgError.
+    """
+    r = as_matrix(r, "r")
+    b = as_matrix(b, "b")
+    n = r.shape[0]
+    if r.shape != (n, n) or b.shape[1] != n:
+        raise ValueError(
+            f"solve_upper needs r n x n and b k x n, got {r.shape} and {b.shape}"
+        )
+    if r.flags.f_contiguous:
+        x, info = dtrtrs(r, b.T, lower=0, trans=1)
+    else:
+        x, info = dtrtrs(r.T, b.T, lower=1, trans=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"r is singular: zero at diagonal entry {info - 1}")
+    return x.T
 
 
 # (get, set) thread-count symbols of an OpenBLAS build: numpy's copy

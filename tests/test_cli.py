@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +151,18 @@ class TestPerturb:
         assert capsys.readouterr().out == f"{delta_path}\n{metrics_path}\n"
         assert run(argv) == 0
         assert capsys.readouterr().out == f"{delta_path}\n" + metrics_path.read_text()
+
+    def test_rank_deficient_writes_no_delta(self, tmp_path, capsys):
+        mat, cfg = tmp_path / "a.txt", tmp_path / "p.json"
+        write_matrix(np.ones((3, 2)), mat)
+        cfg.write_text(json.dumps({"kind": "normwise_fro", "eps": 1e-8}))
+        delta_path = tmp_path / "d.txt"
+        argv = ["perturb", str(mat), "--config", str(cfg), "--out", str(delta_path)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rank deficient" in captured.err
+        assert not delta_path.exists()
 
     def test_requires_config_exits_two(self, tmp_path, capsys):
         mat = tmp_path / "a.txt"
@@ -708,3 +724,35 @@ class TestBlasThreads:
             assert "qrlev levscores: cannot read a.txt" in capsys.readouterr().err
         assert seen == [[1] * len(two_blas_threads)]
         assert [pool.get() for pool in two_blas_threads] == [2] * len(two_blas_threads)
+
+
+class TestLogLevel:
+    """
+    QRLEV_LOGLEVEL is read in a fresh interpreter: under pytest the root
+    logger already has handlers, so logging.basicConfig would not read
+    the level at all.
+    """
+
+    def _gen(self, tmp_path, level):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), QRLEV_LOGLEVEL=level)
+        out = tmp_path / "a.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qrlev.cli", "gen", "--preset", "stepped",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        return proc, out
+
+    def test_unknown_level_is_a_one_line_refusal(self, tmp_path):
+        proc, out = self._gen(tmp_path, "bogus")
+        assert proc.returncode == 1
+        assert proc.stderr == "qrlev gen: QRLEV_LOGLEVEL: Unknown level: 'bogus'\n"
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    def test_known_level_runs(self, tmp_path):
+        proc, out = self._gen(tmp_path, "WARNING")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{out}\n"
+        assert out.exists()

@@ -393,6 +393,90 @@ def test_householder_qr_raises_on_lapack_info(monkeypatch, routine):
         householder_qr(np.random.default_rng(8).standard_normal((10, 4)))
 
 
+def _upper_system(n, k, order, r_scale, b_scale):
+    """A well-conditioned n x n upper-triangular r in the given order and a k x n b."""
+    rng = np.random.default_rng(100 * n + k)
+    r = np.triu(rng.standard_normal((n, n))) + 2.0 * np.eye(n)
+    b = rng.standard_normal((k, n))
+    return np.array(r * r_scale, order=order), b * b_scale
+
+
+# (r scale, b scale): every pair from 1e-200, 1 and 1e200 but the one
+# whose solution, near 1e400, overflows.
+SOLVE_SCALES = [
+    (r_scale, b_scale)
+    for r_scale in (1e-200, 1.0, 1e200)
+    for b_scale in (1e-200, 1.0, 1e200)
+    if (r_scale, b_scale) != (1e-200, 1e200)
+]
+
+
+@pytest.mark.parametrize(("r_scale", "b_scale"), SOLVE_SCALES)
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("n", [1, 2, 25])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_upper_bits_equal_scipy_solve_triangular(order, n, k, r_scale, b_scale):
+    """
+    solve_upper calls dtrtrs as scipy's solve_triangular does, so the
+    bits are the same. The check can fail: solving an F-ordered r
+    through r.T, as a C-ordered one is, changes the bits of 10 of the
+    F-ordered cases here (n = 2 and 25, b with one row).
+    """
+    from scipy.linalg import solve_triangular
+
+    r, b = _upper_system(n, k, order, r_scale, b_scale)
+    x = linalg.solve_upper(r, b)
+    want = solve_triangular(r, b.T, trans="T", lower=False).T
+    assert np.array_equal(x, want)
+    assert x.flags.c_contiguous == want.flags.c_contiguous
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("operand", ["r", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_upper_rejects_nonfinite(order, operand, bad):
+    r, b = _upper_system(3, 2, order, 1.0, 1.0)
+    (r if operand == "r" else b)[1, 2] = bad
+    with pytest.raises(ValueError, match=f"{operand} contains non-finite entries"):
+        linalg.solve_upper(r, b)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_upper_zero_diagonal_raises_linalg_error(order):
+    r, b = _upper_system(3, 2, order, 1.0, 1.0)
+    r[1, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal entry 1"):
+        linalg.solve_upper(r, b)
+
+
+def test_solve_upper_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="solve_upper needs"):
+        linalg.solve_upper(np.eye(3), np.ones((2, 4)))
+
+
+def test_load_flapack_falls_back_to_a_normal_import(tmp_path, monkeypatch):
+    """
+    Where the directory holds no extension file (an editable scipy
+    build), the loader imports scipy.linalg._flapack the normal way.
+    The import rebinds the module in sys.modules and on scipy.linalg;
+    monkeypatch puts both back.
+    """
+    import scipy.linalg
+
+    name = "scipy.linalg._flapack"
+    monkeypatch.setattr(scipy.linalg, "_flapack", sys.modules[name], raising=False)
+    monkeypatch.delitem(sys.modules, name)
+    module = linalg._load_flapack(tmp_path)
+    assert module is sys.modules[name]
+    a = np.random.default_rng(9).standard_normal((6, 3))
+    for got, want in zip(module.dgeqrf(a), linalg.dgeqrf(a)):
+        assert np.array_equal(got, want)
+    r, b = _upper_system(3, 2, "C", 1.0, 1.0)
+    x, info = module.dtrtrs(r.T, b.T, lower=1, trans=0)
+    assert info == 0
+    assert np.array_equal(x.T, linalg.solve_upper(r, b))
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 

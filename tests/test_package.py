@@ -86,6 +86,45 @@ def test_import_leaves_blas_threads_alone_and_discovers_nothing():
     assert probe["discoveries"] == 0
 
 
+# Imports qrlev and every submodule before anything imports
+# scipy.linalg, lists which of scipy.linalg's heavy imports are loaded,
+# then imports scipy.linalg and compares qrlev's LAPACK routines with
+# the ones scipy.linalg.lapack exports.
+LAPACK_ROUTINES = ("dgeqrf", "dgeqrf_lwork", "dorgqr", "dgejsv", "dtrtrs")
+LAZY_IMPORT_PROBE = r"""
+import importlib, json, pkgutil, sys
+
+import qrlev
+for module in pkgutil.iter_modules(qrlev.__path__):
+    importlib.import_module("qrlev." + module.name)
+loaded = [name for name in ("scipy.linalg", "numpy.f2py", "numpy.testing")
+          if name in sys.modules]
+discoveries = qrlev.linalg.blas_pools.cache_info().misses
+
+import scipy.linalg.lapack
+print(json.dumps({
+    "loaded": loaded,
+    "discoveries": discoveries,
+    "same": {name: getattr(qrlev.linalg, name) is getattr(scipy.linalg.lapack, name)
+             for name in %r},
+}))
+""" % (LAPACK_ROUTINES,)
+
+
+def test_import_skips_scipy_linalg_and_shares_its_lapack():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["loaded"] == []
+    assert probe["discoveries"] == 0
+    assert probe["same"] == dict.fromkeys(LAPACK_ROUTINES, True)
+
+
 # The three entry points, as (module, enclosing function).
 BLAS_THREADS_ENTRY_POINTS = [
     ("acceptance", "run_all"),
