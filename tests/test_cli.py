@@ -535,6 +535,26 @@ class TestBounds:
             ).T
             assert check_policy(obs, bnd, tag).ok
 
+    def test_every_name_matches_the_golden_report(self, tmp_path, capsys):
+        # Both formats of every name, byte for byte, each report under a
+        # header line: t1 and c1 at m = 2n, the rest at 30 x 4, with
+        # delta = D a so that t3_4 applies.
+        reports = []
+        for name in cli.BOUND_NAMES:
+            m = 8 if name in ("t1", "c1") else 30
+            a = np.random.default_rng(1).standard_normal((m, 4))
+            mat, dlt, out = tmp_path / "a.txt", tmp_path / "d.txt", tmp_path / "r.csv"
+            write_matrix(a, mat)
+            write_matrix(componentwise_row_perturbation(a, 1e-8, 2), dlt)
+            argv = ["bounds", name, "--matrix", str(mat), "--delta", str(dlt)]
+            assert run(argv + ["--out", str(out)]) == 0
+            assert capsys.readouterr().out == f"{out}\n"
+            assert run(argv + ["--format", "json"]) == 0
+            reports += [f"== {name} csv\n", out.read_text()]
+            reports += [f"== {name} json\n", capsys.readouterr().out]
+        golden = Path(__file__).parent / "golden" / "bounds.txt"
+        assert "".join(reports).encode() == golden.read_bytes()
+
     def test_t2_json(self, tmp_path):
         a = np.random.default_rng(5).standard_normal((25, 3))
         delta = 1e-8 * np.random.default_rng(6).standard_normal((25, 3))
