@@ -149,8 +149,6 @@ def cmd_perturb(args):
     a = read_matrix(args.matrix)
     delta = make_perturbation(_load_json(args.config), a, args.seed)
     metrics = measure(full_rank_qr(a), delta)
-    write_matrix(delta, args.out)
-    print(args.out)
     payload = {
         "eps_two": metrics.eps_two,
         "eps_fro": metrics.eps_fro,
@@ -160,7 +158,17 @@ def cmd_perturb(args):
         "eps_row_perp_max": float(np.nanmax(metrics.eps_row_perp)),
     }
     text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    _write_report(text, args.metrics_out)
+    write_matrix(delta, args.out)
+    if args.metrics_out:
+        try:
+            with open(args.metrics_out, "w") as fh:
+                fh.write(text)
+        except OSError:
+            os.remove(args.out)  # a run that fails leaves no delta behind
+            raise
+        text = args.metrics_out + "\n"
+    print(args.out)
+    sys.stdout.write(text)
     return 0
 
 

@@ -164,6 +164,20 @@ class TestPerturb:
         assert "rank deficient" in captured.err
         assert not delta_path.exists()
 
+    def test_unwritable_metrics_leave_no_delta(self, tmp_path, capsys):
+        mat, cfg = tmp_path / "a.txt", tmp_path / "p.json"
+        write_matrix(np.random.default_rng(3).standard_normal((20, 4)), mat)
+        cfg.write_text(json.dumps({"kind": "normwise_fro", "eps": 1e-6}))
+        delta_path = tmp_path / "d.txt"
+        assert run([
+            "perturb", str(mat), "--config", str(cfg), "--out", str(delta_path),
+            "--metrics-out", str(tmp_path / "nodir" / "m.json"),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "No such file or directory" in captured.err
+        assert not delta_path.exists()
+
     def test_requires_config_exits_two(self, tmp_path, capsys):
         mat = tmp_path / "a.txt"
         write_matrix(np.eye(4)[:, :2], mat)
