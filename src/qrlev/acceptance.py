@@ -22,8 +22,6 @@ from .angles import principal_angles, sin_theta_max_projector
 from .bounds import (
     EXACT_ABS_SLACK,
     bound_t1,
-    bound_t3_2,
-    bound_t3_3,
     check_policy,
     delta_q_first_order,
     observed,
@@ -493,7 +491,7 @@ def run_all(seed=DEFAULT_SEED):
     """
     with blas_threads(1):
         # One fig4 run serves criterion 6's T3_2 and T3_3 checks and criterion 9.
-        fig4, fig4_t3_3 = fig4_panels(seed, (bound_t3_2, bound_t3_3))
+        fig4, fig4_t3_3 = fig4_panels(seed, ("T3_2", "T3_3"))
         ctx = {
             "seed": seed,
             "figures": {"fig4": {p.name: p for p in fig4}},

@@ -16,20 +16,26 @@ T3_3         first order, projected variant of T3_2
 T3_4         first order, row scalings delta = D a (D diagonal),
              recognized by row_scaling_eta
 
-Each bound_* evaluator only evaluates: it reads the scores and the
-perturbation sizes and returns the per-index bound, never the observed
-differences, after _check_hypothesis has confirmed that the bound
-applies (T1 and C1 hold for any angles). Every rule for checking a bound lives here, keyed by the
-theorem tag: observed gives the quantity a tag bounds (the absolute
-difference for T1_abs, the relative one for every other tag), and
-check_policy decides whether it holds. The exact bounds (T1, C1, T2,
-T3_1) carry no dropped terms and must hold outright; T3_2 through T3_4
-are first order, so verification allows the documented outlier slack
-(99 percent of indices within the bound, all indices within 10x).
-FIRST_ORDER_TAGS lists the tags that take the outlier policy.
+EVALUATORS is the one place that maps a tag to its evaluator and to
+the inputs that evaluator reads. Each bound_* evaluator only
+evaluates: it reads the scores and the perturbation sizes and returns
+the per-index bound, never the observed differences. Before it does,
+_check_hypothesis confirms that the bound applies, and the report
+carries the quantity, its value and its limit (T1 and C1 hold for any
+angles and carry none).
+
+Every rule for checking a bound lives here, keyed by the tag: observed
+gives the quantity a tag bounds (the absolute difference for T1_abs,
+the relative one for every other tag), and check_policy decides
+whether it holds. The exact bounds (T1, C1, T2, T3_1) carry no dropped
+terms and must hold outright; T3_2 through T3_4 are first order, so
+verification allows the documented outlier slack (99 percent of
+indices within the bound, all indices within 10x). FIRST_ORDER_TAGS
+lists the tags that take the outlier policy.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +127,11 @@ def check_policy(observed, bound, theorem):
     return PolicyCheck(holds, frac, worst, bool(ok), first_order)
 
 
+# A bound's applicability condition as checked: the quantity's name,
+# its value and its limit, e.g. ("max(eta) * kappa2", 1.1e-2, 1).
+Hypothesis = namedtuple("Hypothesis", ("quantity", "value", "limit"))
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """One evaluated bound, per index."""
@@ -129,6 +140,7 @@ class BoundReport:
     per_index_bound: np.ndarray
     lower: np.ndarray = None   # sandwich only
     upper: np.ndarray = None   # sandwich only
+    hypothesis: Hypothesis = None  # None for T1 and C1, which need none
 
 
 def _as_scores(lev):
@@ -192,10 +204,10 @@ def _check_hypothesis(product, limit, strict, tag, quantity="||delta||_2 ||pinv(
     """
     The one applicability check. Raises HypothesisError naming the tag
     and the quantity unless product < limit (strict) or product <= limit;
-    a NaN product never applies.
+    a NaN product never applies. Returns the Hypothesis it checked.
     """
     if (product < limit) if strict else (product <= limit):
-        return
+        return Hypothesis(quantity, float(product), limit)
     rel = "<" if strict else "<="
     raise HypothesisError(f"{tag} needs {quantity} {rel} {limit}, got {product:.3e}")
 
@@ -212,7 +224,7 @@ def bound_t2(lev, stats, metrics):
     """
     lev = _as_scores(lev)
     kappa = stats.kappa2
-    _check_hypothesis(metrics.eps_two * kappa, 0.5, False, "T2")
+    hypothesis = _check_hypothesis(metrics.eps_two * kappa, 0.5, False, "T2")
     clipped = np.clip(lev, 0.0, 1.0)
     ratio = np.sqrt(safe_ratio(1.0 - clipped, clipped))
 
@@ -222,8 +234,8 @@ def bound_t2(lev, stats, metrics):
     gen = (2.0 * ratio + safe_ratio(ke, clipped)) * ke
 
     return (
-        BoundReport(theorem="T2_perp", per_index_bound=proj),
-        BoundReport(theorem="T2_gen", per_index_bound=gen),
+        BoundReport(theorem="T2_perp", per_index_bound=proj, hypothesis=hypothesis),
+        BoundReport(theorem="T2_gen", per_index_bound=gen, hypothesis=hypothesis),
     )
 
 
@@ -237,12 +249,12 @@ def bound_t3_1(lev, stats, metrics):
     """
     lev = _as_scores(lev)
     kappa = stats.kappa2
-    _check_hypothesis(metrics.eps_two * kappa, 0.5, False, "T3_1")
+    hypothesis = _check_hypothesis(metrics.eps_two * kappa, 0.5, False, "T3_1")
     clipped = np.clip(lev, 0.0, 1.0)
     kse = kappa * np.sqrt(stats.stable_rank) * metrics.eps_fro
     ratio = np.sqrt(safe_ratio(1.0 - clipped, clipped))
     bound = 12.0 * (ratio + safe_ratio(3.0 * kse, clipped)) * kse
-    return BoundReport(theorem="T3_1", per_index_bound=bound)
+    return BoundReport(theorem="T3_1", per_index_bound=bound, hypothesis=hypothesis)
 
 
 def bound_t3_2(stats, metrics):
@@ -255,10 +267,10 @@ def bound_t3_2(stats, metrics):
     NaN.
     """
     kappa = stats.kappa2
-    _check_hypothesis(metrics.eps_two * kappa, 1.0, True, "T3_2")
+    hypothesis = _check_hypothesis(metrics.eps_two * kappa, 1.0, True, "T3_2")
     global_term = np.sqrt(2.0 * stats.stable_rank) * metrics.eps_fro
     bound = 2.0 * (metrics.eps_row + global_term) * kappa
-    return BoundReport(theorem="T3_2", per_index_bound=bound)
+    return BoundReport(theorem="T3_2", per_index_bound=bound, hypothesis=hypothesis)
 
 
 def bound_t3_3(stats, metrics):
@@ -269,10 +281,10 @@ def bound_t3_3(stats, metrics):
     Requires ||delta||_2 ||pinv(a)||_2 <= 1/2.
     """
     kappa = stats.kappa2
-    _check_hypothesis(metrics.eps_two * kappa, 0.5, False, "T3_3")
+    hypothesis = _check_hypothesis(metrics.eps_two * kappa, 0.5, False, "T3_3")
     global_term = np.sqrt(2.0 * stats.stable_rank) * metrics.eps_fro_perp
     bound = 4.0 * (metrics.eps_row_perp + global_term) * kappa
-    return BoundReport(theorem="T3_3", per_index_bound=bound)
+    return BoundReport(theorem="T3_3", per_index_bound=bound, hypothesis=hypothesis)
 
 
 def bound_t3_4(eta, n, kappa2):
@@ -291,9 +303,25 @@ def bound_t3_4(eta, n, kappa2):
     if np.any(eta < 0):
         raise ValueError("eta must be nonnegative")
     eta_max = float(eta.max())
-    _check_hypothesis(eta_max * kappa2, 1, True, "T3_4", "max(eta) * kappa2")
+    hypothesis = _check_hypothesis(eta_max * kappa2, 1, True, "T3_4", "max(eta) * kappa2")
     bound = 2.0 * (eta + np.sqrt(2.0) * n * eta_max)
-    return BoundReport(theorem="T3_4", per_index_bound=bound)
+    return BoundReport(theorem="T3_4", per_index_bound=bound, hypothesis=hypothesis)
+
+
+# Tag -> evaluator. Each reads, by name, only the inputs its bound
+# takes from an experiments.Evaluation: lev, stats, angles, metrics,
+# eta and the Factorization f. The evaluators call bound_* through
+# this module's globals, so a wrapper bound there (a tracer) sees them.
+EVALUATORS = {
+    "T1_abs": lambda x: bound_t1(x.lev, x.angles),
+    "C1_rel": lambda x: bound_c1(x.lev, x.angles),
+    "T2_perp": lambda x: bound_t2(x.lev, x.stats, x.metrics)[0],
+    "T2_gen": lambda x: bound_t2(x.lev, x.stats, x.metrics)[1],
+    "T3_1": lambda x: bound_t3_1(x.lev, x.stats, x.metrics),
+    "T3_2": lambda x: bound_t3_2(x.stats, x.metrics),
+    "T3_3": lambda x: bound_t3_3(x.stats, x.metrics),
+    "T3_4": lambda x: bound_t3_4(x.eta, x.f.r.shape[1], x.stats.kappa2),
+}
 
 
 # fl(d_j a_jk) and c_j a_jk, c_j the ratio at the row's largest |a_jk|, differ

@@ -26,34 +26,32 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .bounds import (
-    bound_c1,
-    bound_t1,
-    bound_t2,
-    bound_t3_1,
-    bound_t3_2,
-    bound_t3_3,
-    bound_t3_4,
-    row_scaling_eta,
-)
-from .angles import principal_angles
 from .experiments import (
     BoundViolationError,
+    Evaluation,
     ExperimentConfig,
-    FigurePanel,
     emit_csv,
     run_figure,
 )
 from .generate import GenSpec, generate, stepped_spec
 from .io import format_float, read_matrix, write_matrix
-from .leverage import full_rank_qr, leverage_from_basis, leverage_qr
+from .leverage import full_rank_qr, leverage_qr
 from .linalg import blas_threads
 from .perturb import make_perturbation, measure
 
 # Preset name -> sv_mode of the stepped recipe.
 GEN_PRESETS = {"stepped": "orthonormal", "stepped-illconditioned": "randsvd"}
 
-BOUND_NAMES = ("t1", "c1", "t2", "t3_1", "t3_2", "t3_3", "t3_4")
+# Bound name -> the theorem tags it reports, in report order.
+BOUND_NAMES = {
+    "t1": ("T1_abs",),
+    "c1": ("C1_rel",),
+    "t2": ("T2_perp", "T2_gen"),
+    "t3_1": ("T3_1",),
+    "t3_2": ("T3_2",),
+    "t3_3": ("T3_3",),
+    "t3_4": ("T3_4",),
+}
 
 
 def _add_common(parser, *flags, required=(), out_default=None, seed_default=0):
@@ -192,32 +190,8 @@ def cmd_bounds(args):
             f"{args.delta} is {delta.shape[0]}x{delta.shape[1]} but "
             f"{args.matrix} is {a.shape[0]}x{a.shape[1]}"
         )
-    f = full_rank_qr(a)
-    lev = leverage_from_basis(f.q)
-    q_tilde = full_rank_qr(a + delta).q
-    lev_tilde = leverage_from_basis(q_tilde)
-
-    name = args.name
-    if name == "t1":
-        reports = [bound_t1(lev, principal_angles(f.q, q_tilde))]
-    elif name == "c1":
-        reports = [bound_c1(lev, principal_angles(f.q, q_tilde))]
-    elif name == "t3_4":
-        eta = row_scaling_eta(a, delta)
-        reports = [bound_t3_4(eta, a.shape[1], kappa2=f.stats.kappa2)]
-    else:
-        stats = f.stats
-        metrics = measure(f, delta)
-        if name == "t2":
-            reports = list(bound_t2(lev, stats, metrics))
-        elif name == "t3_1":
-            reports = [bound_t3_1(lev, stats, metrics)]
-        elif name == "t3_2":
-            reports = [bound_t3_2(stats, metrics)]
-        else:
-            reports = [bound_t3_3(stats, metrics)]
-
-    panels = [FigurePanel.from_report(r.theorem, lev, lev_tilde, r) for r in reports]
+    ev = Evaluation(full_rank_qr(a), delta)
+    panels = [ev.panel(tag, tag) for tag in BOUND_NAMES[args.name]]
     if args.format == "json":
         records = [
             {"theorem": p.theorem, "j": j, "ell": ell, "observed": obs, "bound": bnd}

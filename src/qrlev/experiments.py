@@ -9,7 +9,10 @@ are spawned in a fixed documented order, so equal seeds give
 byte-identical CSV output), evaluates the figure's bound at every
 index, and returns one FigurePanel per panel: per-index columns ell,
 ell_tilde, observed (the quantity bounds.observed gives for the
-panel's theorem) and bound, where row j of the CSV is index j.
+panel's theorem) and bound, where row j of the CSV is index j. Every
+runner but fig2 evaluates its bounds through an Evaluation, the one
+record of what a tag reads; fig2 builds its pipeline by hand until
+perfbench's tally test allows fewer factorizations.
 
 Figure map
 ----------
@@ -25,7 +28,7 @@ fig4  eps_f = 1e-8 supported on FIG4_ROWS, the third row block
       (rows 500..749) (a); and ||dA||_F = 1e-8 in absolute terms with
       the stepped Gaussian's row scaling, not A's (b), which relative
       to ||A||_F = 5 is eps_f = 2e-9; T3_2 bound. fig4_panels
-      evaluates several bounds on one run (acceptance adds T3_3).
+      evaluates several tags on one run (acceptance adds T3_3).
 fig5  componentwise row-scaled perturbations with eta_j = 1e-8 on
       the well- and ill-conditioned matrices; T3_4 bound.
 
@@ -36,20 +39,13 @@ number generate.STEPPED_KAPPA = 1e6.
 import logging
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import svgplot
 from .angles import principal_angles
-from .bounds import (
-    bound_c1,
-    bound_t2,
-    bound_t3_1,
-    bound_t3_2,
-    bound_t3_4,
-    check_policy,
-    observed,
-)
+from .bounds import EVALUATORS, bound_t2, check_policy, observed, row_scaling_eta
 from .generate import (
     STEPPED_BLOCKS,
     stepped_gaussian,
@@ -124,29 +120,64 @@ class FigurePanel:
         return cls(name, report.theorem, lev, lev_tilde, diff, report.per_index_bound)
 
 
+class Evaluation:
+    """
+    What the bounds read of one perturbation delta of the matrix a that
+    f, its Factorization from full_rank_qr, holds. Each input (f_tilde,
+    the Factorization of a + delta, and what an evaluator in
+    bounds.EVALUATORS reads: lev, lev_tilde, stats, angles, metrics,
+    eta) is computed on first read, at most once, unless the caller
+    passes it in by name. The runners pass lev in, so that the panels of
+    one matrix share one array, which emit_csv formats once.
+    """
+
+    f_tilde = cached_property(lambda self: full_rank_qr(self.f.a + self.delta))
+    lev = cached_property(lambda self: leverage_from_basis(self.f.q))
+    lev_tilde = cached_property(lambda self: leverage_from_basis(self.f_tilde.q))
+    stats = cached_property(lambda self: self.f.stats)
+    angles = cached_property(lambda self: principal_angles(self.f.q, self.f_tilde.q))
+    metrics = cached_property(lambda self: measure(self.f, self.delta))
+    eta = cached_property(lambda self: row_scaling_eta(self.f.a, self.delta))
+
+    def __init__(self, f, delta, **given):
+        self.f, self.delta = f, delta
+        vars(self).update(given)
+
+    def panel(self, name, tag):
+        """The FigurePanel called name under the bound of theorem tag."""
+        report = EVALUATORS[tag](self)
+        return FigurePanel.from_report(name, self.lev, self.lev_tilde, report)
+
+
 def _spawn_rngs(seed, count):
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.default_rng(c) for c in children]
 
 
 def run_fig1(seed):
-    """Rotation perturbations of the stepped orthonormal matrix."""
+    """
+    Rotation perturbations of the stepped orthonormal matrix. The
+    perturbed basis and the angles are taken from the exact rotation
+    q_tilde, not from a + (q_tilde - a) and f.q.
+    """
     targets = (1e-8, 1e-6, 1e-4)
     rngs = _spawn_rngs(seed, 1 + len(targets))
     a = stepped_orthonormal(rngs[0])
-    lev = leverage_qr(a)
+    f = full_rank_qr(a)
+    lev = leverage_from_basis(f.q)
     panels = [FigurePanel.scores("a", lev)]
     for k, target in enumerate(targets):
         panel = chr(ord("b") + k)
         q_tilde = rotation_perturbation(a, target, rngs[1 + k])
-        angles = principal_angles(a, q_tilde)
-        lev_tilde = leverage_qr(q_tilde)
-        report = bound_c1(lev, angles)
+        ev = Evaluation(
+            f, q_tilde - a, f_tilde=full_rank_qr(q_tilde), lev=lev,
+            angles=principal_angles(a, q_tilde),
+        )
         logger.info(
             "fig1 panel %s: target sin %.3e, measured sin %.6e",
-            panel, target, angles.sin_theta_max,
+            panel, target, ev.angles.sin_theta_max,
         )
-        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+        panels.append(ev.panel(panel, "C1_rel"))
     return panels
 
 
@@ -186,65 +217,62 @@ def run_fig3(seed):
     a = stepped_orthonormal(rngs[0])
     f = full_rank_qr(a)
     lev = leverage_from_basis(f.q)
-    stats = f.stats
     panels = []
     for k, eps_f in enumerate(eps_fs):
         panel = chr(ord("a") + k)
         delta = normwise_perturbation(a, eps_f, "fro", rngs[1 + k])
-        metrics = measure(f, delta)
-        lev_tilde = leverage_qr(a + delta)
-        report = bound_t3_1(lev, stats, metrics)
+        ev = Evaluation(f, delta, lev=lev)
         logger.info(
             "fig3 panel %s: kappa2 %.3e, eps_fro %.3e",
-            panel, stats.kappa2, metrics.eps_fro,
+            panel, ev.stats.kappa2, ev.metrics.eps_fro,
         )
-        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+        panels.append(ev.panel(panel, "T3_1"))
     return panels
 
 
-def fig4_panels(seed, bounds):
+def fig4_panels(seed, tags):
     """
-    The fig4 experiment under each of several bounds of the form
-    bound(stats, metrics): a Frobenius perturbation of size
-    eps_f = 1e-8 on FIG4_ROWS (panel a), and (panel b) the stepped
-    Gaussian scaled to ||dA||_F = 1e-8 in absolute terms, so it carries
-    that matrix's row scaling rather than A's and, with ||A||_F = 5,
-    has eps_f = 2e-9 relative to A. Returns one panel list per bound;
-    every bound reads the same factorizations, and A is factored once.
+    The fig4 experiment under the bound of each theorem tag: a
+    Frobenius perturbation of size eps_f = 1e-8 on FIG4_ROWS (panel a),
+    and (panel b) the stepped Gaussian scaled to ||dA||_F = 1e-8 in
+    absolute terms, so it carries that matrix's row scaling rather than
+    A's and, with ||A||_F = 5, has eps_f = 2e-9 relative to A. Returns
+    one panel list per tag; every tag reads the same Evaluation of each
+    panel, and A is factored once.
     """
     eps_f = 1e-8
     rngs = _spawn_rngs(seed, 3)
     a = stepped_orthonormal(rngs[0])
     f = full_rank_qr(a)
     lev = leverage_from_basis(f.q)
-    stats = f.stats
 
     rows = FIG4_ROWS
     deltas = [
         ("a", row_subset_perturbation(a, rows.start, rows.stop, eps_f, rngs[1])),
         ("b", same_row_scaling_perturbation(stepped_gaussian(rngs[2]), eps_f)),
     ]
-    per_bound = [[] for _ in bounds]
+    per_tag = [[] for _ in tags]
     for panel, delta in deltas:
-        metrics = measure(f, delta)
-        lev_tilde = leverage_qr(a + delta)
+        ev = Evaluation(f, delta, lev=lev)
         logger.info(
             "fig4 panel %s: eps_fro %.3e, max eps_row %.3e",
-            panel, metrics.eps_fro, np.nanmax(metrics.eps_row),
+            panel, ev.metrics.eps_fro, np.nanmax(ev.metrics.eps_row),
         )
-        for panels, bound in zip(per_bound, bounds):
-            report = bound(stats, metrics)
-            panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
-    return per_bound
+        for panels, tag in zip(per_tag, tags):
+            panels.append(ev.panel(panel, tag))
+    return per_tag
 
 
 def run_fig4(seed):
     """Row-localized and row-scaled Frobenius perturbations; T3_2 bound."""
-    return fig4_panels(seed, (bound_t3_2,))[0]
+    return fig4_panels(seed, ("T3_2",))[0]
 
 
 def run_fig5(seed):
-    """Componentwise row-scaled perturbations on both matrices."""
+    """
+    Componentwise row-scaled perturbations on both matrices. The bound
+    reads the class eta = 1e-8, not the measured |d_j| <= eta.
+    """
     rngs = _spawn_rngs(seed, 4)
     mats = [
         ("a", stepped_orthonormal(rngs[0]), rngs[2]),
@@ -252,18 +280,14 @@ def run_fig5(seed):
     ]
     panels = []
     for panel, mat, rng in mats:
-        f = full_rank_qr(mat)
-        lev = leverage_from_basis(f.q)
-        stats = f.stats
         eta = np.full(mat.shape[0], 1e-8)
         delta = componentwise_row_perturbation(mat, eta, rng)
-        lev_tilde = leverage_qr(mat + delta)
-        report = bound_t3_4(eta, mat.shape[1], kappa2=stats.kappa2)
+        ev = Evaluation(full_rank_qr(mat), delta, eta=eta)
         logger.info(
             "fig5 panel %s: kappa2 %.3e, max(eta) * kappa2 %.3e",
-            panel, stats.kappa2, eta.max() * stats.kappa2,
+            panel, ev.stats.kappa2, eta.max() * ev.stats.kappa2,
         )
-        panels.append(FigurePanel.from_report(panel, lev, lev_tilde, report))
+        panels.append(ev.panel(panel, "T3_4"))
     return panels
 
 

@@ -166,13 +166,14 @@ def _panels_within_bounds():
 def test_criterion_4_t1_bound_is_ell_times_c1_bound(monkeypatch):
     # Criterion 4 checks T1_abs as ell * C1_rel from fig1's panels;
     # bound_t1, the evaluator behind `qrlev bounds t1`, must agree.
+    # fig1 reaches bound_c1 through bounds.EVALUATORS.
     seen = []
 
     def recording(lev, angles):
         seen.append(angles)
         return bound_c1(lev, angles)
 
-    monkeypatch.setattr(experiments, "bound_c1", recording)
+    monkeypatch.setattr(bounds, "bound_c1", recording)
     panels = experiments.run_fig1(acceptance.DEFAULT_SEED)[1:]
     assert len(seen) == len(panels) == 3
     for p, angles in zip(panels, seen):
@@ -377,7 +378,7 @@ def test_run_all_runs_at_one_blas_thread_and_restores(monkeypatch, two_blas_thre
 
     seen = {}
 
-    def fig4_stub(seed, evaluators):
+    def fig4_stub(seed, tags):
         seen["fig4"] = counts()
         return [], []
 

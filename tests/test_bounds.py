@@ -10,6 +10,7 @@ from qrlev.bounds import (
     EXACT_ABS_SLACK,
     EXACT_REL_SLACK,
     FIRST_ORDER_CAP,
+    Hypothesis,
     HypothesisError,
     bound_c1,
     bound_t1,
@@ -475,6 +476,34 @@ def test_hypothesis_at_its_limit(evaluate, limit, strict, needs):
     with pytest.raises(HypothesisError) as excinfo:
         evaluate(first_failing)
     assert str(excinfo.value) == f"{needs}, got {first_failing:.3e}"
+
+
+@pytest.mark.parametrize(
+    ("evaluate", "quantity", "limit"),
+    [
+        (lambda p: bound_t2(np.array([0.5]), stats_of(), metrics_of(eps_two=p, m=1)),
+         NORMWISE, 0.5),
+        (lambda p: [bound_t3_1(np.array([0.5]), stats_of(), metrics_of(eps_two=p, m=1))],
+         NORMWISE, 0.5),
+        (lambda p: [bound_t3_2(stats_of(), metrics_of(eps_two=p, m=1))], NORMWISE, 1.0),
+        (lambda p: [bound_t3_3(stats_of(), metrics_of(eps_two=p, m=1))], NORMWISE, 0.5),
+        (lambda p: [bound_t3_4(np.full(3, p / 2), 25, kappa2=2.0)],
+         "max(eta) * kappa2", 1),
+    ],
+    ids=["T2", "T3_1", "T3_2", "T3_3", "T3_4"],
+)
+def test_report_carries_its_checked_hypothesis(evaluate, quantity, limit):
+    # As in test_hypothesis_at_its_limit, the value is exactly the
+    # eps_two or 2 max(eta) passed in; the margin left is limit - value.
+    for report in evaluate(0.375 * limit):
+        assert report.hypothesis == Hypothesis(quantity, 0.375 * limit, limit)
+        assert type(report.hypothesis.value) is float
+
+
+def test_angle_bounds_carry_no_hypothesis():
+    # T1 and C1 hold for any principal angles.
+    for evaluate in (bound_t1, bound_c1):
+        assert evaluate(np.full(4, 0.5), angles_of(0.5, n=2)).hypothesis is None
 
 
 class TestRdotRinv:

@@ -14,14 +14,14 @@ from qrlev import bounds, experiments, svgplot
 from qrlev.bounds import (
     EXACT_ABS_SLACK,
     EXACT_REL_SLACK,
+    EVALUATORS,
     FIRST_ORDER_CAP,
     bound_t1,
-    bound_t3_2,
-    bound_t3_3,
 )
 from qrlev.angles import principal_angles
 from qrlev.experiments import (
     BoundViolationError,
+    Evaluation,
     ExperimentConfig,
     FIG4_ROWS,
     FIGURE_RUNNERS,
@@ -37,6 +37,7 @@ from qrlev.experiments import (
     verify_rows,
 )
 from qrlev.io import format_float
+from qrlev.leverage import full_rank_qr
 from qrlev.svgplot import (
     MARGIN_B,
     MARGIN_L,
@@ -396,7 +397,7 @@ class TestOtherFigures:
 
     @pytest.mark.parametrize(
         ("figure", "qr_calls", "svd_calls"),
-        [("fig3", 8, 7), ("fig4", 8, 7), ("fig5", 7, 4)],
+        [("fig1", 14, 10), ("fig3", 8, 7), ("fig4", 8, 7), ("fig5", 7, 4)],
     )
     def test_base_matrix_factored_once(
         self, factorization_calls, figure, qr_calls, svd_calls
@@ -422,9 +423,9 @@ class TestOtherFigures:
         assert bnd_b.max() / bnd_b.min() <= 2.0
 
     def test_fig4_panels_multi_bound_equals_single_bound_runs(self):
-        bounds = (bound_t3_2, bound_t3_3)
-        for shared, bound in zip(fig4_panels(SEED, bounds), bounds):
-            alone = fig4_panels(SEED, (bound,))[0]
+        tags = ("T3_2", "T3_3")
+        for shared, tag in zip(fig4_panels(SEED, tags), tags):
+            alone = fig4_panels(SEED, (tag,))[0]
             assert [(p.name, p.theorem) for p in shared] == [
                 (p.name, p.theorem) for p in alone
             ]
@@ -433,6 +434,61 @@ class TestOtherFigures:
                     assert np.array_equal(
                         getattr(p, col), getattr(q, col), equal_nan=True
                     ), (p.theorem, p.name, col)
+
+    def test_fig4_panels_second_tag_factors_nothing_more(self, factorization_calls):
+        # Both tags read one Evaluation per panel, so measure runs once.
+        fig4_panels(SEED, ("T3_2",))
+        alone = dict(factorization_calls)
+        fig4_panels(SEED, ("T3_2", "T3_3"))
+        for name, count in alone.items():
+            assert factorization_calls[name] - count <= count, name
+
+
+class TestEvaluation:
+    # The input each tag reads besides lev and lev_tilde.
+    READS = {"T1_abs": "angles", "C1_rel": "angles", "T3_4": "eta"}
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Names of the inputs an Evaluation computed, one entry per computation."""
+        names = []
+        for fn, name in ((experiments.principal_angles, "angles"),
+                         (experiments.measure, "metrics"),
+                         (experiments.row_scaling_eta, "eta")):
+            def counted(*args, _fn=fn, _name=name):
+                names.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(experiments, fn.__name__, counted)
+        return names
+
+    @staticmethod
+    def evaluation(**given):
+        a = np.random.default_rng(1).standard_normal((8, 4))
+        delta = np.random.default_rng(2).uniform(-1e-8, 1e-8, 8)[:, None] * a
+        return Evaluation(full_rank_qr(a), delta, **given)
+
+    @pytest.mark.parametrize("tag", sorted(EVALUATORS))
+    def test_each_tag_computes_only_what_it_reads_once(self, computed, tag):
+        ev = self.evaluation()
+        first = ev.panel("x", tag)
+        assert first.theorem == tag
+        second = ev.panel("y", tag)
+        assert computed == [self.READS.get(tag, "metrics")]
+        assert first.ell is second.ell and first.ell_tilde is second.ell_tilde
+
+    def test_inputs_passed_in_are_not_computed(self, computed):
+        given = self.evaluation()
+        lev, eta = given.lev, np.full(8, 1e-8)
+        ev = self.evaluation(lev=lev, eta=eta, angles=given.angles)
+        computed.clear()
+        for tag in ("T1_abs", "C1_rel", "T3_4"):
+            ev.panel(tag, tag)
+        assert computed == []
+        assert ev.lev is lev
+        # T3_4 reads the eta passed in, not the measured |d_j| below it.
+        expected = bounds.bound_t3_4(eta, 4, ev.stats.kappa2).per_index_bound
+        np.testing.assert_array_equal(ev.panel("b", "T3_4").bound, expected)
 
 
 class TestVerifyPolicy:
@@ -555,7 +611,7 @@ class TestReferenceEmitters:
     def test_written_names_and_tags_need_no_quoting(self, figure_panels):
         # emit_csv writes fields unquoted, so none may hold a CSV special.
         panels = [p for group in figure_panels.values() for p in group]
-        panels += fig4_panels(SEED, (bound_t3_3,))[0]
+        panels += fig4_panels(SEED, ("T3_3",))[0]
         q = np.eye(4)[:, :2]
         t1 = bound_t1(np.full(4, 0.5), principal_angles(q, q)).theorem
         written = {p.name for p in panels} | {p.theorem for p in panels} | {t1}
