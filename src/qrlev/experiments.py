@@ -170,14 +170,15 @@ def run_fig1(seed):
         panel = chr(ord("b") + k)
         q_tilde = rotation_perturbation(a, target, rngs[1 + k])
         ev = Evaluation(
-            f, q_tilde - a, f_tilde=full_rank_qr(q_tilde), lev=lev,
-            angles=principal_angles(a, q_tilde),
+            f, q_tilde - a, lev=lev, angles=principal_angles(a, q_tilde),
+            f_tilde=full_rank_qr(q_tilde),
         )
         logger.info(
             "fig1 panel %s: target sin %.3e, measured sin %.6e",
             panel, target, ev.angles.sin_theta_max,
         )
         panels.append(ev.panel(panel, "C1_rel"))
+        del ev  # frees its f_tilde before the next panel is built
     return panels
 
 
@@ -227,6 +228,7 @@ def run_fig3(seed):
             panel, ev.stats.kappa2, ev.metrics.eps_fro,
         )
         panels.append(ev.panel(panel, "T3_1"))
+        del ev  # frees its f_tilde before the next panel is built
     return panels
 
 
@@ -288,6 +290,7 @@ def run_fig5(seed):
             panel, ev.stats.kappa2, eta.max() * ev.stats.kappa2,
         )
         panels.append(ev.panel(panel, "T3_4"))
+        del ev  # frees its f_tilde before the next panel is built
     return panels
 
 
