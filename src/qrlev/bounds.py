@@ -310,13 +310,15 @@ def bound_t3_4(eta, n, kappa2):
 
 # Tag -> evaluator. Each reads, by name, only the inputs its bound
 # takes from an experiments.Evaluation: lev, stats, angles, metrics,
-# eta and the Factorization f. The evaluators call bound_* through
-# this module's globals, so a wrapper bound there (a tracer) sees them.
+# eta and the Factorization f; the T2 tags read t2, the pair that
+# bound_t2(lev, stats, metrics) returns, which the record computes once.
+# The evaluators call bound_* through this module's globals, so a
+# wrapper bound there (a tracer) sees them.
 EVALUATORS = {
     "T1_abs": lambda x: bound_t1(x.lev, x.angles),
     "C1_rel": lambda x: bound_c1(x.lev, x.angles),
-    "T2_perp": lambda x: bound_t2(x.lev, x.stats, x.metrics)[0],
-    "T2_gen": lambda x: bound_t2(x.lev, x.stats, x.metrics)[1],
+    "T2_perp": lambda x: x.t2[0],
+    "T2_gen": lambda x: x.t2[1],
     "T3_1": lambda x: bound_t3_1(x.lev, x.stats, x.metrics),
     "T3_2": lambda x: bound_t3_2(x.stats, x.metrics),
     "T3_3": lambda x: bound_t3_3(x.stats, x.metrics),

@@ -10,9 +10,8 @@ byte-identical CSV output), evaluates the figure's bound at every
 index, and returns one FigurePanel per panel: per-index columns ell,
 ell_tilde, observed (the quantity bounds.observed gives for the
 panel's theorem) and bound, where row j of the CSV is index j. Every
-runner but fig2 evaluates its bounds through an Evaluation, the one
-record of what a tag reads; fig2 builds its pipeline by hand until
-perfbench's tally test allows fewer factorizations.
+runner evaluates its bounds through an Evaluation, the one record of
+what a tag reads.
 
 Figure map
 ----------
@@ -126,9 +125,10 @@ class Evaluation:
     f, its Factorization from full_rank_qr, holds. Each input (f_tilde,
     the Factorization of a + delta, and what an evaluator in
     bounds.EVALUATORS reads: lev, lev_tilde, stats, angles, metrics,
-    eta) is computed on first read, at most once, unless the caller
-    passes it in by name. The runners pass lev in, so that the panels of
-    one matrix share one array, which emit_csv formats once.
+    eta, t2) is computed on first read, at most once, unless the caller
+    passes it in by name; any other name raises TypeError. The runners
+    pass lev in, so that the panels of one matrix share one array, which
+    emit_csv formats once.
     """
 
     f_tilde = cached_property(lambda self: full_rank_qr(self.f.a + self.delta))
@@ -138,8 +138,13 @@ class Evaluation:
     angles = cached_property(lambda self: principal_angles(self.f.q, self.f_tilde.q))
     metrics = cached_property(lambda self: measure(self.f, self.delta))
     eta = cached_property(lambda self: row_scaling_eta(self.f.a, self.delta))
+    # Both T2 reports, which bound_t2 computes together; each T2 tag takes its own.
+    t2 = cached_property(lambda self: bound_t2(self.lev, self.stats, self.metrics))
 
     def __init__(self, f, delta, **given):
+        for name in given:
+            if not isinstance(getattr(Evaluation, name, None), cached_property):
+                raise TypeError(f"Evaluation has no input {name!r}")
         self.f, self.delta = f, delta
         vars(self).update(given)
 
@@ -192,20 +197,20 @@ def run_fig2(seed):
     ]
     panels = []
     for score_panel, gen_panel, perp_panel, mat, rng in mats:
-        lev = leverage_qr(mat)
-        stats = matrix_stats(mat)
         delta = normwise_perturbation(mat, eps, "two", rng)
-        # Factors mat again: perfbench's test_fig2_factorization_tally pins it.
-        metrics = measure(full_rank_qr(mat), delta)
-        lev_tilde = leverage_qr(mat + delta)
-        projected, general = bound_t2(lev, stats, metrics)
+        # lev and stats factor mat again: perfbench's
+        # test_fig2_factorization_tally pins those calls.
+        ev = Evaluation(
+            full_rank_qr(mat), delta, lev=leverage_qr(mat), stats=matrix_stats(mat)
+        )
         logger.info(
             "fig2 matrix %s: kappa2 %.3e, eps_two %.3e, measured eps_two_perp %.3e",
-            score_panel, stats.kappa2, metrics.eps_two, metrics.eps_two_perp,
+            score_panel, ev.stats.kappa2, ev.metrics.eps_two, ev.metrics.eps_two_perp,
         )
-        panels.append(FigurePanel.scores(score_panel, lev))
-        panels.append(FigurePanel.from_report(gen_panel, lev, lev_tilde, general))
-        panels.append(FigurePanel.from_report(perp_panel, lev, lev_tilde, projected))
+        panels.append(FigurePanel.scores(score_panel, ev.lev))
+        panels.append(ev.panel(gen_panel, "T2_gen"))
+        panels.append(ev.panel(perp_panel, "T2_perp"))
+        del ev  # frees its f_tilde before the next matrix is built
     # Emit in panel order a, b, c, d, e, f.
     panels.sort(key=lambda p: p.name)
     return panels

@@ -491,6 +491,25 @@ class TestEvaluation:
         np.testing.assert_array_equal(ev.panel("b", "T3_4").bound, expected)
 
 
+    def test_both_t2_tags_share_one_bound_t2_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bounds.bound_t2(*args)
+
+        monkeypatch.setattr(experiments, "bound_t2", counted)
+        ev = self.evaluation()
+        perp, gen = ev.panel("e", "T2_perp"), ev.panel("c", "T2_gen")
+        assert len(calls) == 1
+        assert (perp.theorem, gen.theorem) == ("T2_perp", "T2_gen")
+
+    @pytest.mark.parametrize("name", ["etta", "angle", "panel"])
+    def test_unknown_input_raises(self, name):
+        with pytest.raises(TypeError, match=repr(name)):
+            self.evaluation(**{name: np.full(8, 1e-8)})
+
+
 class TestVerifyPolicy:
     def test_exact_violation_raises(self):
         panel = make_panel("C1_rel", [1e-3], [1e-6], name="b")
