@@ -27,6 +27,13 @@ def test_demo_exits_zero(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_bounds_tour_prints_the_committed_report():
+    proc = run_demo(ROOT / "demos" / "03_bounds_tour.py", ROOT)
+    assert proc.returncode == 0, proc.stderr
+    golden = ROOT / "tests" / "golden" / "demo03_bounds_tour.txt"
+    assert proc.stdout == golden.read_text()
+
+
 def test_figures_demo_reproduces_committed_output(tmp_path):
     # The demo writes next to itself, so a copy in tmp_path leaves the
     # committed demos/out/ alone.
