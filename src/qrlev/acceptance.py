@@ -4,16 +4,20 @@ axioms, oracle agreement, angle formulas, every bound inequality, the
 figure-experiment brackets, the first-order QR machinery, the
 projected-row counterexample, and run determinism.
 
-Each criterion returns a CriterionResult; run_all executes all of
-them against one master seed (figure brackets are stochastic, so they
-are validated at the default seed). The CLI `check` subcommand and
-tests/test_acceptance.py both drive this module.
+Each criterion reads the shared context and returns only its Verdict
+(passed, detail, extra). run_all executes all of them against one
+master seed (figure brackets are stochastic, so they are validated at
+the default seed) and is the one place that numbers and names them: a
+criterion's number is its position in CRITERIA and its name the entry
+at that position in CRITERION_NAMES, also when it crashes. The CLI
+`check` subcommand and tests/test_acceptance.py both drive this module.
 """
 
 import math
 import os
 import tempfile
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +78,10 @@ class CriterionResult:
     extra: dict = None
 
 
+# What a criterion returns; run_all adds its number and name.
+Verdict = namedtuple("Verdict", ("passed", "detail", "extra"), defaults=(None,))
+
+
 def _rngs(seed, label, count):
     ss = np.random.SeedSequence([seed, zlib.crc32(label.encode())])
     return [np.random.default_rng(c) for c in ss.spawn(count)]
@@ -99,9 +107,7 @@ def criterion_1(ctx):
         worst_high = max(worst_high, float(lev_q.max()))
         worst_sum = max(worst_sum, abs(float(lev_q.sum()) - n) / n)
     passed = worst_low >= -1e-13 and worst_high <= 1 + 1e-13 and worst_sum <= 1e-12
-    return CriterionResult(
-        1,
-        "leverage axioms",
+    return Verdict(
         passed,
         f"{len(ctx['ensemble'])} matrices: min {worst_low:.2e}, "
         f"max-1 {worst_high - 1:.2e}, worst |sum-n|/n {worst_sum:.2e}",
@@ -121,9 +127,7 @@ def criterion_2(ctx):
     worst_oracle = max(d for _, d, _, _ in ctx["ensemble"])
     worst_basis = max(b for _, _, b, _ in ctx["ensemble"])
     passed = worst_oracle <= 1e-12 and worst_basis <= 1e-13
-    return CriterionResult(
-        2,
-        "oracle equivalence",
+    return Verdict(
         passed,
         f"max |lev_qr - lev_svd| {worst_oracle:.2e} (tol 1e-12), "
         f"max basis-rotation diff {worst_basis:.2e} (tol 1e-13)",
@@ -149,9 +153,7 @@ def criterion_3(ctx):
         s_proj = sin_theta_max_projector(q, q_tilde)
         worst = max(worst, abs(s_svd - s_proj))
     passed = worst <= 1e-10
-    return CriterionResult(
-        3,
-        "angle-formula equivalence",
+    return Verdict(
         passed,
         f"{ANGLE_PAIRS} pairs (targets down to 1e-9): worst |svd - projector| "
         f"{worst:.2e} (tol 1e-10)",
@@ -176,9 +178,7 @@ def criterion_4(ctx):
         if n_bad:
             violations.append(f"{theorem} {figure}/{name}:{n_bad}")
     passed = not violations
-    return CriterionResult(
-        4,
-        "exact bound inequalities",
+    return Verdict(
         passed,
         "zero violations across fig1/fig2/fig3 panels"
         if passed
@@ -220,9 +220,7 @@ def criterion_5(ctx):
         np.max(np.abs(leverage_from_basis(comp) - (1.0 - leverage_from_basis(q))))
     )
     passed = all_hold and flip_err <= 1e-12
-    return CriterionResult(
-        5,
-        "m=2n sandwich",
+    return Verdict(
         passed,
         f"{SANDWICH_INSTANCES} instances: worst enclosure excess {worst_excess:.2e} "
         f"(slack {EXACT_ABS_SLACK:g}); complement flip error {flip_err:.2e} (tol 1e-12)",
@@ -246,9 +244,7 @@ def criterion_6(ctx):
             if not check.ok:
                 failures.append(f"{p.theorem} {figure}/{p.name}")
     passed = not failures
-    return CriterionResult(
-        6,
-        "first-order bounds",
+    return Verdict(
         passed,
         "; ".join(details) + ("" if passed else " FAILED: " + ",".join(failures)),
     )
@@ -258,20 +254,21 @@ def _block_maxes(rel):
     return [float(np.nanmax(rel[b])) for b in STEPPED_BLOCKS]
 
 
+def _decade_profile(rel):
+    """Block maxima of rel, and whether each is within a decade of its target."""
+    maxes = _block_maxes(rel)
+    return maxes, all(t / 10 <= m <= t * 10 for m, t in zip(maxes, BLOCK_MAX_TARGETS))
+
+
 def criterion_7(ctx):
     """Figure 1 block-max decade profile and panel scaling."""
     fig1 = _figure(ctx, "fig1")
-    maxes_b = _block_maxes(fig1["b"].observed)
+    maxes_b, decade_ok = _decade_profile(fig1["b"].observed)
     maxes_c = _block_maxes(fig1["c"].observed)
-    in_decade = [
-        t / 10 <= m <= t * 10 for m, t in zip(maxes_b, BLOCK_MAX_TARGETS)
-    ]
     ratios = [mc / mb for mc, mb in zip(maxes_c, maxes_b)]
     ratios_ok = [10 <= r <= 1000 for r in ratios]
-    passed = all(in_decade) and all(ratios_ok)
-    return CriterionResult(
-        7,
-        "figure 1 brackets",
+    passed = decade_ok and all(ratios_ok)
+    return Verdict(
         passed,
         f"block maxes {['%.1e' % m for m in maxes_b]} vs targets "
         f"{['%.0e' % t for t in BLOCK_MAX_TARGETS]}; "
@@ -282,19 +279,14 @@ def criterion_7(ctx):
 def criterion_8(ctx):
     """Figure 3 decade profile and accuracy loss at 1e-5."""
     fig3 = _figure(ctx, "fig3")
-    maxes_a = _block_maxes(fig3["a"].observed)
-    in_decade = [
-        t / 10 <= m <= t * 10 for m, t in zip(maxes_a, BLOCK_MAX_TARGETS)
-    ]
+    maxes_a, decade_ok = _decade_profile(fig3["a"].observed)
     smallest_block_max = float(np.nanmax(fig3["b"].observed[STEPPED_BLOCKS[0]]))
-    passed = all(in_decade) and smallest_block_max >= 0.1
-    return CriterionResult(
-        8,
-        "figure 3 brackets",
+    passed = decade_ok and smallest_block_max >= 0.1
+    return Verdict(
         passed,
         f"block maxes at 1e-8 {['%.1e' % m for m in maxes_a]}; smallest-block "
         f"max at 1e-5 is {smallest_block_max:.2e} (need >= 0.1)",
-        extra={"decade_ok": all(in_decade), "loss": smallest_block_max},
+        extra={"decade_ok": decade_ok, "loss": smallest_block_max},
     )
 
 
@@ -311,9 +303,7 @@ def criterion_9(ctx):
     q5, q95 = np.nanquantile(fig4["b"].observed, [0.05, 0.95])
     span = float(q95 / q5)
     passed = ratio >= 10.0 and span <= 100.0
-    return CriterionResult(
-        9,
-        "figure 4 locality",
+    return Verdict(
         passed,
         f"perturbed/unperturbed max ratio {ratio:.0f} (need >= 10); "
         f"panel b p95/p5 span {span:.1f} (need <= 100)",
@@ -335,9 +325,7 @@ def criterion_10(ctx):
         block_spreads.append(spread)
         block_ok = block_ok and spread <= 10.0
     passed = cond_ratio <= 10.0 and block_ok
-    return CriterionResult(
-        10,
-        "figure 5 independence",
+    return Verdict(
         passed,
         f"medians {med_a:.2e} vs {med_b:.2e} (ratio {cond_ratio:.2f}, need <= 10); "
         f"block-median spreads {['%.2f' % s for s in block_spreads]} (need <= 10)",
@@ -383,9 +371,7 @@ def criterion_11(ctx):
     order_ok = order >= 0.9
 
     passed = norm_ok and decay_ok and order_ok
-    return CriterionResult(
-        11,
-        "first-order machinery",
+    return Verdict(
         passed,
         f"{RDOT_PAIRS} pairs: worst norm/limit {worst_ratio:.4f} (<= 1); "
         f"decay ratio {decay_ratio:.0f} (need [30, 300]); "
@@ -401,9 +387,7 @@ def criterion_12(ctx):
     err_row = abs(metrics.eps_row[2])
     err_perp = abs(metrics.eps_row_perp[2] - 1.0)
     passed = err_row <= 1e-14 and err_perp <= 1e-14
-    return CriterionResult(
-        12,
-        "projected-row counterexample",
+    return Verdict(
         passed,
         f"eps_row[2] = {metrics.eps_row[2]:.2e} (want 0), "
         f"eps_row_perp[2] - 1 = {metrics.eps_row_perp[2] - 1:.2e} (tol 1e-14)",
@@ -423,9 +407,7 @@ def criterion_13(ctx):
             with open(path, "rb") as fh:
                 blobs.append(fh.read())
     passed = blobs[0] == blobs[1]
-    return CriterionResult(
-        13,
-        "determinism",
+    return Verdict(
         passed,
         f"two fig1 runs at seed {ctx['seed']}: CSV bytes "
         + ("identical" if passed else "differ"),
@@ -467,6 +449,8 @@ def _build_ensemble(seed):
     return items
 
 
+# The order of CRITERIA is the criteria's numbering, and
+# CRITERION_NAMES holds their names in that order.
 CRITERIA = (
     criterion_1,
     criterion_2,
@@ -483,11 +467,30 @@ CRITERIA = (
     criterion_13,
 )
 
+CRITERION_NAMES = (
+    "leverage axioms",
+    "oracle equivalence",
+    "angle-formula equivalence",
+    "exact bound inequalities",
+    "m=2n sandwich",
+    "first-order bounds",
+    "figure 1 brackets",
+    "figure 3 brackets",
+    "figure 4 locality",
+    "figure 5 independence",
+    "first-order machinery",
+    "projected-row counterexample",
+    "determinism",
+)
+
 
 def run_all(seed=DEFAULT_SEED):
     """
-    Run every acceptance criterion; returns a list of results. Runs at
-    one BLAS thread (linalg.blas_threads).
+    Run every acceptance criterion at one BLAS thread
+    (linalg.blas_threads); returns one CriterionResult per criterion,
+    numbered by its position in CRITERIA and named from
+    CRITERION_NAMES. A criterion that raises is reported failed under
+    that name, with the exception's repr as its detail.
     """
     with blas_threads(1):
         # One fig4 run serves criterion 6's T3_2 and T3_3 checks and criterion 9.
@@ -499,11 +502,11 @@ def run_all(seed=DEFAULT_SEED):
             "fig4_t3_3": {p.name: p for p in fig4_t3_3},
         }
         results = []
-        for number, fn in enumerate(CRITERIA, start=1):
+        criteria = zip(CRITERIA, CRITERION_NAMES, strict=True)
+        for number, (fn, name) in enumerate(criteria, start=1):
             try:
-                results.append(fn(ctx))
+                verdict = fn(ctx)
             except Exception as exc:  # a crashed criterion is a failed criterion
-                results.append(
-                    CriterionResult(number, fn.__doc__.split(".")[0], False, repr(exc))
-                )
+                verdict = Verdict(False, repr(exc))
+            results.append(CriterionResult(number, name, *verdict))
     return results

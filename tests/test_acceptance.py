@@ -383,22 +383,55 @@ def test_run_all_runs_at_one_blas_thread_and_restores(monkeypatch, two_blas_thre
         return [], []
 
     def recording(ctx):
-        """Records the thread counts."""
         seen["criterion"] = counts()
-        return acceptance.CriterionResult(1, "records", True, "")
+        return acceptance.Verdict(True, "")
 
     def crashing(ctx):
-        """Crashes. Always."""
         raise RuntimeError("criterion crashed")
 
     monkeypatch.setattr(acceptance, "fig4_panels", fig4_stub)
     monkeypatch.setattr(acceptance, "_build_ensemble", lambda seed: [])
     monkeypatch.setattr(acceptance, "CRITERIA", (recording, crashing))
+    monkeypatch.setattr(acceptance, "CRITERION_NAMES", ("records", "crashes"))
     results = acceptance.run_all(seed=0)
     one = [1] * len(two_blas_threads)
     assert seen == {"fig4": one, "criterion": one}
     assert [(r.number, r.name, r.passed) for r in results] == [
-        (1, "records", True), (2, "Crashes", False)
+        (1, "records", True), (2, "crashes", False)
     ]
     assert "criterion crashed" in results[1].detail
     assert counts() == [2] * len(two_blas_threads)
+
+
+def test_criteria_are_numbered_by_their_position():
+    # run_all numbers criteria by position, and perfbench's tracer
+    # keys them by function name, so the two must agree.
+    assert len(acceptance.CRITERIA) == len(acceptance.CRITERION_NAMES) == 13
+    for k, fn in enumerate(acceptance.CRITERIA, start=1):
+        assert fn.__name__ == f"criterion_{k}"
+
+
+def test_crashed_criterion_is_one_line_under_its_table_name(monkeypatch, capsys):
+    from qrlev.cli import main
+
+    def passing(ctx):
+        return acceptance.Verdict(True, "ok")
+
+    def crashing(ctx):
+        raise RuntimeError("oracle\ncrashed")
+
+    criteria = [passing] * 13
+    criteria[1] = crashing
+    monkeypatch.setattr(acceptance, "fig4_panels", lambda seed, tags: ([], []))
+    monkeypatch.setattr(acceptance, "_build_ensemble", lambda seed: [])
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria))
+    res = acceptance.run_all(seed=0)[1]
+    assert (res.number, res.name, res.passed) == (2, "oracle equivalence", False)
+    assert main(["check", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14
+    assert all(line.startswith("criterion") for line in lines[:13])
+    assert lines[1] == (
+        "criterion  2 [FAIL] oracle equivalence: RuntimeError('oracle\\ncrashed')"
+    )
+    assert lines[13] == "12/13 criteria passed"
