@@ -55,6 +55,7 @@ from .io import format_float
 from .leverage import full_rank_qr, leverage_from_basis, leverage_qr, matrix_stats
 from .linalg import blas_threads
 from .perturb import (
+    as_delta,
     componentwise_row_perturbation,
     measure,
     normwise_perturbation,
@@ -64,8 +65,6 @@ from .perturb import (
 )
 
 logger = logging.getLogger(__name__)
-
-FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
 CSV_HEADER = ("panel", "j", "ell", "ell_tilde", "observed", "bound", "theorem")
 
@@ -126,7 +125,9 @@ class Evaluation:
     the Factorization of a + delta, and what an evaluator in
     bounds.EVALUATORS reads: lev, lev_tilde, stats, angles, metrics,
     eta, t2) is computed on first read, at most once, unless the caller
-    passes it in by name; any other name raises TypeError. The runners
+    passes it in by name; any other name raises TypeError. delta is
+    checked once, here: it must be finite and have the shape of f.a,
+    or ValueError is raised. The runners
     pass lev in, so that the panels of one matrix share one array, which
     emit_csv formats once.
     """
@@ -145,7 +146,7 @@ class Evaluation:
         for name in given:
             if not isinstance(getattr(Evaluation, name, None), cached_property):
                 raise TypeError(f"Evaluation has no input {name!r}")
-        self.f, self.delta = f, delta
+        self.f, self.delta = f, as_delta(f.a, delta)
         vars(self).update(given)
 
     def panel(self, name, tag):
@@ -306,6 +307,8 @@ FIGURE_RUNNERS = {
     "fig4": run_fig4,
     "fig5": run_fig5,
 }
+
+FIGURES = tuple(FIGURE_RUNNERS)
 
 
 def verify_rows(panels):

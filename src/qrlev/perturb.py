@@ -215,6 +215,14 @@ def make_perturbation(recipe, a, rng):
     return componentwise_row_perturbation(a, recipe["eta"], rng)
 
 
+def as_delta(a, delta):
+    """delta through linalg.as_matrix, checked to have the shape of a."""
+    delta = as_matrix(delta, "delta")
+    if a.shape != delta.shape:
+        raise ValueError(f"dimension mismatch: a is {a.shape}, delta is {delta.shape}")
+    return delta
+
+
 def measure(f, delta):
     """
     Every relative magnitude of delta as a perturbation of a = f.a,
@@ -222,11 +230,7 @@ def measure(f, delta):
     returns; a is not factored again. Rows of a with zero norm make
     their row magnitudes undefined: those entries are NaN.
     """
-    delta = as_matrix(delta, "delta")
-    if f.a.shape != delta.shape:
-        raise ValueError(
-            f"dimension mismatch: a is {f.a.shape}, delta is {delta.shape}"
-        )
+    delta = as_delta(f.a, delta)
     a_two = float(f.svd_r.sigma[0])
     a_fro = fro_norm(f.a)
     perp = project_complement(f.q, delta)
