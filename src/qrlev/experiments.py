@@ -126,10 +126,10 @@ class Evaluation:
     bounds.EVALUATORS reads: lev, lev_tilde, stats, angles, metrics,
     eta, t2) is computed on first read, at most once, unless the caller
     passes it in by name; any other name raises TypeError. delta is
-    checked once, here: it must be finite and have the shape of f.a,
-    or ValueError is raised. The runners
-    pass lev in, so that the panels of one matrix share one array, which
-    emit_csv formats once.
+    checked once, here (perturb.as_delta): a delta that is not finite
+    or not of f.a's shape raises ValueError. The runners pass lev in,
+    so that the panels of one matrix share one array, which emit_csv
+    formats once.
     """
 
     f_tilde = cached_property(lambda self: full_rank_qr(self.f.a + self.delta))
