@@ -489,7 +489,7 @@ def run_all(seed=DEFAULT_SEED):
     Run every acceptance criterion at one BLAS thread
     (linalg.blas_threads); returns one CriterionResult per criterion,
     numbered by its position in CRITERIA and named from
-    CRITERION_NAMES. A criterion that raises is reported failed under
+    CRITERION_NAMES. A criterion that raises is reported as failed under
     that name, with the exception's repr as its detail.
     """
     with blas_threads(1):
