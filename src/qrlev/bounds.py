@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, fro_norm, safe_ratio, solve_upper, triu_half, two_norm
+from .linalg import fro_norm, safe_ratio, solve_upper, triu_half, two_norm
+from .perturb import as_delta, as_magnitude
 
 FIRST_ORDER_TAGS = ("T3_2", "T3_3", "T3_4")
 
@@ -297,11 +298,9 @@ def bound_t3_4(eta, n, kappa2):
     not on conditioning or score magnitude; kappa2 enters only the
     applicability condition max(eta) * kappa2 < 1, which is enforced.
     """
-    eta = np.asarray(eta, dtype=np.float64)
+    eta = as_magnitude(eta, "eta")
     if eta.ndim != 1:
         raise ValueError("eta must be one-dimensional")
-    if np.any(eta < 0):
-        raise ValueError("eta must be nonnegative")
     eta_max = float(eta.max())
     hypothesis = _check_hypothesis(eta_max * kappa2, 1, True, "T3_4", "max(eta) * kappa2")
     bound = 2.0 * (eta + np.sqrt(2.0) * n * eta_max)
@@ -339,6 +338,7 @@ def row_scaling_eta(a, delta):
     multiple of a's row, within rounding, raises HypothesisError naming
     the worst.
     """
+    delta = as_delta(a, delta)
     ratio = np.divide(delta, a, out=np.zeros_like(a), where=a != 0)
     fit = ratio[np.arange(a.shape[0]), np.abs(a).argmax(axis=1)][:, None] * a
     off = np.abs(delta - fit)
@@ -355,10 +355,10 @@ def row_scaling_eta(a, delta):
     return np.abs(ratio).max(axis=1)
 
 
-def _rdot_rinv_matrix(f, delta, eps_f):
-    """(1 / eps_f) * triu_half(c + c.T) with c = q.T delta r**-1."""
+def _triu_sym(f, delta):
+    """triu_half(c + c.T) with c = q.T delta r**-1, for a delta as_delta passed."""
     c = solve_upper(f.r, f.q.T @ delta)
-    return triu_half(c + c.T) / eps_f
+    return triu_half(c + c.T)
 
 
 def rdot_rinv(f, delta):
@@ -369,18 +369,17 @@ def rdot_rinv(f, delta):
     With f the Factorization a = q r from full_rank_qr and
     eps_f = ||delta||_F / ||a||_F, the result is
 
-        (1 / eps_f) * triu_half(q.T delta r**-1 + (q.T delta r**-1).T),
+        triu_half(q.T delta r**-1 + (q.T delta r**-1).T) / eps_f,
 
     an upper-triangular matrix whose Frobenius norm never exceeds
-    sqrt(2 * stable_rank) * kappa2.
+    sqrt(2 * stable_rank) * kappa2. A zero delta, which has no
+    direction, raises ValueError.
     """
-    delta = as_matrix(delta, "delta")
-    if f.a.shape != delta.shape:
-        raise ValueError("a and delta must have equal shapes")
+    delta = as_delta(f.a, delta)
     eps_f = fro_norm(delta) / fro_norm(f.a)
     if eps_f == 0.0:
         raise ValueError("delta must be nonzero")
-    return _rdot_rinv_matrix(f, delta, eps_f)
+    return _triu_sym(f, delta) / eps_f
 
 
 def delta_q_first_order(f, delta):
@@ -388,19 +387,18 @@ def delta_q_first_order(f, delta):
     First-order prediction of the change in the orthonormal QR factor
     of the Factorization f when a is perturbed by delta:
 
-        delta r**-1 - eps_f * q * rdot_rinv(f, delta).
+        delta r**-1 - q triu_half(q.T delta r**-1 + (q.T delta r**-1).T),
 
-    The residual against the true change decays quadratically in the
-    perturbation size. Requires ||delta||_2 ||pinv(a)||_2 < 1.
+    which is delta r**-1 - eps_f * q * rdot_rinv(f, delta) for a nonzero
+    delta, and zero for a zero one. The residual against the true change
+    decays quadratically in the perturbation size. Requires
+    ||delta||_2 ||pinv(a)||_2 < 1.
     """
-    delta = as_matrix(delta, "delta")
-    if not delta.any():
-        return np.zeros_like(f.a)
+    delta = as_delta(f.a, delta)
     _check_hypothesis(
         two_norm(delta) / float(f.svd_r.sigma[-1]), 1, True, "first-order prediction"
     )
-    eps_f = fro_norm(delta) / fro_norm(f.a)
-    return solve_upper(f.r, delta) - eps_f * (f.q @ _rdot_rinv_matrix(f, delta, eps_f))
+    return solve_upper(f.r, delta) - f.q @ _triu_sym(f, delta)
 
 
 def qr_q_difference(f, f_tilde):

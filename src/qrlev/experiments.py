@@ -126,7 +126,7 @@ class Evaluation:
     bounds.EVALUATORS reads: lev, lev_tilde, stats, angles, metrics,
     eta, t2) is computed on first read, at most once, unless the caller
     passes it in by name; any other name raises TypeError. delta is
-    checked once, here (perturb.as_delta): a delta that is not finite
+    checked on construction (perturb.as_delta): a delta that is not finite
     or not of f.a's shape raises ValueError. The runners pass lev in,
     so that the panels of one matrix share one array, which emit_csv
     formats once.

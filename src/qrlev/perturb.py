@@ -22,6 +22,12 @@ componentwise_rows
 measure() reports all six magnitude families: relative two-norm and
 Frobenius sizes, their projections onto the orthogonal complement of
 the column space, and the per-row relative sizes of both.
+
+This module holds the two checks of the perturbation contract, which
+every other module calls rather than writing its own: as_delta, that a
+perturbation delta is finite and has the shape of its matrix, and
+as_magnitude, that a perturbation magnitude (eps, eps_f, eta) is finite
+and nonnegative.
 """
 
 from dataclasses import dataclass
@@ -106,8 +112,7 @@ def normwise_perturbation(a, eps, norm, rng):
     requested norm ("two" or "fro"): eps * ||a|| * g / ||g||.
     """
     a = as_matrix(a, "a")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    eps = as_magnitude(eps, "eps")
     if norm not in ("two", "fro"):
         raise ValueError(f"norm must be 'two' or 'fro', got {norm!r}")
     if eps == 0.0:
@@ -130,8 +135,7 @@ def row_subset_perturbation(a, row_start, row_stop, eps_f, rng):
         raise ValueError(
             f"row range [{row_start}, {row_stop}) is empty or outside [0, {m})"
         )
-    if eps_f < 0:
-        raise ValueError("eps_f must be nonnegative")
+    eps_f = as_magnitude(eps_f, "eps_f")
     delta = np.zeros_like(a)
     if eps_f == 0.0:
         return delta
@@ -149,8 +153,7 @@ def same_row_scaling_perturbation(a1, eps_f):
     scaling.
     """
     a1 = as_matrix(a1, "a1")
-    if eps_f < 0:
-        raise ValueError("eps_f must be nonnegative")
+    eps_f = as_magnitude(eps_f, "eps_f")
     norm = fro_norm(a1)
     if norm == 0.0:
         raise ValueError("a1 must be nonzero")
@@ -162,13 +165,14 @@ def componentwise_row_perturbation(a, eta, rng):
     Row-scaled perturbation delta = D a, the class T3_4 covers: row j
     of the result is zeta_j * eta_j * row j of a, with zeta_j drawn
     once per row, uniform on [-1, 1], so D = diag(zeta * eta) and
-    |delta_jk| <= eta_j |a_jk| entry by entry.
+    |delta_jk| <= eta_j |a_jk| entry by entry. eta is one number for
+    every row or one per row.
     """
     a = as_matrix(a, "a")
     m = a.shape[0]
-    eta = np.broadcast_to(np.asarray(eta, dtype=np.float64), (m,)).copy()
-    if np.any(eta < 0):
-        raise ValueError("eta must be nonnegative")
+    eta = as_magnitude(eta, "eta")
+    if eta.ndim > 1 or eta.size not in (1, m):
+        raise ValueError(f"eta has shape {eta.shape}, the matrix {m} rows")
     zeta = make_rng(rng).uniform(-1.0, 1.0, m)
     return (zeta * eta)[:, None] * a
 
@@ -215,8 +219,25 @@ def make_perturbation(recipe, a, rng):
     return componentwise_row_perturbation(a, recipe["eta"], rng)
 
 
+def as_magnitude(x, name):
+    """
+    The one check of a perturbation magnitude: x (a number or an array)
+    as float64, refused with ValueError naming the first bad entry
+    unless every entry is finite and nonnegative.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    bad = ~((x >= 0.0) & (x < np.inf))
+    if bad.any():
+        raise ValueError(f"{name} must be nonnegative and finite, got {x[bad][0]}")
+    return x
+
+
 def as_delta(a, delta):
-    """delta through linalg.as_matrix, checked to have the shape of a."""
+    """
+    The one check of a perturbation delta of the matrix a: delta
+    through linalg.as_matrix (2-d, nonempty, finite), checked to have
+    a's shape.
+    """
     delta = as_matrix(delta, "delta")
     if a.shape != delta.shape:
         raise ValueError(f"dimension mismatch: a is {a.shape}, delta is {delta.shape}")

@@ -318,6 +318,16 @@ class TestPerturb:
         assert code == 0
         assert not read_matrix(delta_path)[19].any()
 
+    def test_eta_of_another_length_names_it_and_the_row_count(self, tmp_path, capsys):
+        # Five factors for a 20-row matrix: the message names both
+        # counts, not the shapes numpy failed to broadcast.
+        recipe = {"kind": "componentwise_rows", "eta": [1e-8] * 5}
+        code, delta_path = self._perturb(tmp_path, recipe)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "qrlev perturb: eta has shape (5,), the matrix 20 rows\n"
+        assert not delta_path.exists()
+
     def test_rotation_accepts_basis_within_basis_tol(self, tmp_path):
         # 12 significant digits leave the stepped basis with a Gram
         # residual (4.09e-12) above the QR kernel's ORTH_TOL * n but

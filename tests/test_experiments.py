@@ -509,21 +509,6 @@ class TestEvaluation:
         with pytest.raises(TypeError, match=repr(name)):
             self.evaluation(**{name: np.full(8, 1e-8)})
 
-    @pytest.mark.parametrize("shape", [(1, 4), (8, 1)])
-    def test_delta_of_another_shape_raises(self, shape):
-        # Both shapes broadcast against the 8 x 4 matrix.
-        f = full_rank_qr(np.random.default_rng(1).standard_normal((8, 4)))
-        with pytest.raises(ValueError, match=r"dimension mismatch: a is \(8, 4\)"):
-            Evaluation(f, 1e-9 * np.ones(shape))
-
-    @pytest.mark.parametrize("tag", ["C1_rel", "T3_4"])
-    def test_non_finite_delta_raises(self, tag):
-        a = np.random.default_rng(1).standard_normal((8, 4))
-        delta = 1e-9 * a
-        delta[3, 2] = np.nan
-        with pytest.raises(ValueError, match="^delta contains non-finite entries$"):
-            Evaluation(full_rank_qr(a), delta).panel("x", tag)
-
 
 class TestVerifyPolicy:
     def test_exact_violation_raises(self):

@@ -1,11 +1,21 @@
+import importlib
+import inspect
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 
+import qrlev
 from qrlev.angles import principal_angles
+from qrlev.bounds import bound_t3_4, delta_q_first_order, rdot_rinv, row_scaling_eta
+from qrlev.experiments import Evaluation
 from qrlev.generate import random_orthonormal, stepped_orthonormal
 from qrlev.leverage import full_rank_qr
 from qrlev.linalg import BASIS_TOL, ORTH_TOL, gram_residual
 from qrlev.perturb import (
+    as_delta,
+    as_magnitude,
     componentwise_row_perturbation,
     make_perturbation,
     measure,
@@ -190,6 +200,19 @@ class TestComponentwiseRows:
         with pytest.raises(ValueError, match="nonnegative"):
             componentwise_row_perturbation(np.eye(3), -0.1, 1)
 
+    @pytest.mark.parametrize("eta", [[1e-8] * 5, [1e-8] * 9, [[1e-8]]])
+    def test_eta_of_another_shape_names_it_and_the_row_count(self, eta):
+        message = f"^eta has shape {re.escape(str(np.shape(eta)))}, the matrix 8 rows$"
+        with pytest.raises(ValueError, match=message):
+            componentwise_row_perturbation(np.ones((8, 2)), eta, 1)
+
+    def test_eta_of_one_entry_is_broadcast(self):
+        a = np.random.default_rng(6).standard_normal((8, 2))
+        np.testing.assert_array_equal(
+            componentwise_row_perturbation(a, [1e-2], 7),
+            componentwise_row_perturbation(a, 1e-2, 7),
+        )
+
     def test_scalar_eta_broadcast(self):
         a = np.random.default_rng(6).standard_normal((8, 2))
         delta = componentwise_row_perturbation(a, 1e-2, 7)
@@ -274,3 +297,94 @@ class TestPerturbationSpec:
         a = random_orthonormal(20, 3, 9)
         delta = make_perturbation({"kind": "rotation", "target_sin": 1e-3}, a, 11)
         assert gram_residual(a + delta) <= 1e-12
+
+
+# The perturbation contract: perturb.as_delta is the one check of a
+# delta and perturb.as_magnitude the one check of a magnitude, and each
+# caller refuses bad input through them, with their messages.
+
+CONTRACT_A = np.random.default_rng(1).standard_normal((8, 4))
+
+
+def _nan_delta():
+    delta = 1e-9 * CONTRACT_A
+    delta[3, 2] = np.nan
+    return delta
+
+
+# Every public callable in qrlev that takes a delta, called on the
+# Factorization f of CONTRACT_A, keyed "module.name"; an Evaluation is
+# also refused when a panel is asked of it.
+DELTA_TAKERS = {
+    "perturb.as_delta": lambda f, delta: as_delta(f.a, delta),
+    "perturb.measure": measure,
+    "bounds.rdot_rinv": rdot_rinv,
+    "bounds.delta_q_first_order": delta_q_first_order,
+    "bounds.row_scaling_eta": lambda f, delta: row_scaling_eta(f.a, delta),
+    "experiments.Evaluation": Evaluation,
+    "experiments.Evaluation C1_rel panel": lambda f, d: Evaluation(f, d).panel("c", "C1_rel"),
+    "experiments.Evaluation T3_4 panel": lambda f, d: Evaluation(f, d).panel("e", "T3_4"),
+}
+
+# Bad deltas of the 8 x 4 CONTRACT_A and the message each must raise.
+# (1, n) and (m, 1) broadcast against the matrix.
+BAD_DELTAS = {
+    "(1, n)": (lambda: 1e-9 * np.ones((1, 4)),
+               r"^dimension mismatch: a is \(8, 4\), delta is \(1, 4\)$"),
+    "(m, 1)": (lambda: 1e-9 * np.ones((8, 1)),
+               r"^dimension mismatch: a is \(8, 4\), delta is \(8, 1\)$"),
+    "(m - 1, n)": (lambda: 1e-9 * np.ones((7, 4)),
+                   r"^dimension mismatch: a is \(8, 4\), delta is \(7, 4\)$"),
+    "NaN entry": (_nan_delta, "^delta contains non-finite entries$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DELTAS))
+@pytest.mark.parametrize("taker", sorted(DELTA_TAKERS))
+def test_bad_delta_refused(taker, case):
+    make, message = BAD_DELTAS[case]
+    f = full_rank_qr(CONTRACT_A)
+    with pytest.raises(ValueError, match=message):
+        DELTA_TAKERS[taker](f, make())
+
+
+def test_every_delta_taker_is_in_the_contract_table():
+    # A public function or class of any qrlev module whose signature
+    # names a delta must be a row of DELTA_TAKERS, and each row must
+    # name one.
+    found = set()
+    for info in pkgutil.iter_modules(qrlev.__path__):
+        module = importlib.import_module(f"qrlev.{info.name}")
+        for name, obj in vars(module).items():
+            own = getattr(obj, "__module__", None) == module.__name__
+            if name.startswith("_") or not own or not callable(obj):
+                continue
+            if isinstance(obj, type) and issubclass(obj, Exception):
+                continue  # an exception's signature is its message
+            if "delta" in inspect.signature(obj).parameters:
+                found.add(f"{info.name}.{name}")
+    assert found == {taker for taker in DELTA_TAKERS if " " not in taker}
+
+
+# Every public callable that takes a perturbation magnitude, called
+# with x as one magnitude.
+MAGNITUDE_TAKERS = {
+    "as_magnitude": lambda x: as_magnitude(x, "x"),
+    "normwise": lambda x: normwise_perturbation(np.ones((4, 3)), x, "fro", 1),
+    "row_subset": lambda x: row_subset_perturbation(np.ones((4, 3)), 0, 2, x, 1),
+    "same_row_scaling": lambda x: same_row_scaling_perturbation(np.ones((4, 3)), x),
+    "componentwise_rows": lambda x: componentwise_row_perturbation(np.ones((4, 3)), x, 1),
+    "componentwise_rows per row": lambda x: componentwise_row_perturbation(
+        np.ones((4, 3)), [1e-8, x, 0.0, 1e-8], 1
+    ),
+    "bound_t3_4": lambda x: bound_t3_4(np.array([1e-8, x]), 25, kappa2=1.0),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "-1"])
+@pytest.mark.parametrize("taker", sorted(MAGNITUDE_TAKERS))
+def test_bad_magnitude_refused(taker, value):
+    message = rf"^\w+ must be nonnegative and finite, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        MAGNITUDE_TAKERS[taker](value)
+
