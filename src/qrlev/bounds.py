@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import fro_norm, safe_ratio, solve_upper, triu_half, two_norm
+from .linalg import as_matrix, fro_norm, safe_ratio, solve_upper, triu_half, two_norm
 from .perturb import as_delta, as_magnitude
 
 FIRST_ORDER_TAGS = ("T3_2", "T3_3", "T3_4")
@@ -301,6 +301,8 @@ def bound_t3_4(eta, n, kappa2):
     eta = as_magnitude(eta, "eta")
     if eta.ndim != 1:
         raise ValueError("eta must be one-dimensional")
+    if eta.size == 0:
+        raise ValueError("eta must be nonempty")
     eta_max = float(eta.max())
     hypothesis = _check_hypothesis(eta_max * kappa2, 1, True, "T3_4", "max(eta) * kappa2")
     bound = 2.0 * (eta + np.sqrt(2.0) * n * eta_max)
@@ -338,6 +340,7 @@ def row_scaling_eta(a, delta):
     multiple of a's row, within rounding, raises HypothesisError naming
     the worst.
     """
+    a = as_matrix(a, "a")
     delta = as_delta(a, delta)
     ratio = np.divide(delta, a, out=np.zeros_like(a), where=a != 0)
     fit = ratio[np.arange(a.shape[0]), np.abs(a).argmax(axis=1)][:, None] * a

@@ -7,6 +7,11 @@ with a prescribed geometric singular-value profile, and the two
 Every generator takes an explicit seed or numpy Generator; identical
 seeds reproduce identical matrices. numpy's default PCG64 bit
 generator with the ziggurat normal transform supplies the streams.
+This holds at any BLAS thread count for generate, the recipe entry
+point, which runs at one thread (linalg.blas_threads): at 40000 x 25
+a QR or a product at two threads rounds differently from one at one.
+The building blocks random_orthonormal and randsvd_matrix run at
+their caller's count; gaussian_matrix makes no BLAS call.
 """
 
 from dataclasses import dataclass, field, fields
@@ -15,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .io import check_json_type
-from .linalg import householder_qr
+from .linalg import blas_threads, householder_qr
 
 # Fixed recipe behind the stepped-leverage matrices: four row blocks
 # of 250, scaled 1, 1e2, 1e3, 1e4, times a 1000 x 25 Gaussian (the
@@ -98,14 +103,20 @@ class GenSpec:
 
 
 def gaussian_matrix(m, n, rng):
-    """i.i.d. standard normal m x n matrix from the seeded stream."""
+    """
+    i.i.d. standard normal m x n matrix from the seeded stream; no BLAS
+    call, so no thread count changes its bits.
+    """
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
     return make_rng(rng).standard_normal((m, n))
 
 
 def random_orthonormal(m, n, rng):
-    """Orthonormal basis from the QR of a seeded Gaussian, m >= n."""
+    """
+    Orthonormal basis from the QR of a seeded Gaussian, m >= n, at the
+    caller's BLAS thread count.
+    """
     return householder_qr(gaussian_matrix(m, n, rng)).q
 
 
@@ -116,7 +127,8 @@ def randsvd_matrix(m, n, kappa, rng):
     Singular values run from 1 down to 1/kappa as
     sigma_i = kappa**(-(i-1)/(n-1)) (all ones when n == 1 or
     kappa == 1), sandwiched between random orthonormal factors, so
-    the condition number of the result is kappa up to round-off.
+    the condition number of the result is kappa up to round-off. Runs
+    at the caller's BLAS thread count.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be at least 1")
@@ -177,15 +189,20 @@ def stepped_illconditioned(rng):
 
 
 def generate(spec, rng):
-    """Materialize a GenSpec with the given seed or Generator."""
+    """
+    Materialize a GenSpec with the given seed or Generator, at one
+    BLAS thread (linalg.blas_threads): the same seed gives the same
+    bits at any thread count.
+    """
     rng = make_rng(rng)
-    if spec.sv_mode == "randsvd":
-        core = randsvd_matrix(spec.m, spec.n, spec.kappa, rng)
-    else:
-        core = gaussian_matrix(spec.m, spec.n, rng)
-    if spec.block_sizes:
-        scales = np.asarray(spec.block_scales, dtype=np.float64)
-        core = np.repeat(scales, spec.block_sizes)[:, None] * core
-    if spec.sv_mode == "orthonormal":
-        return householder_qr(core).q
-    return core
+    with blas_threads(1):
+        if spec.sv_mode == "randsvd":
+            core = randsvd_matrix(spec.m, spec.n, spec.kappa, rng)
+        else:
+            core = gaussian_matrix(spec.m, spec.n, rng)
+        if spec.block_sizes:
+            scales = np.asarray(spec.block_scales, dtype=np.float64)
+            core = np.repeat(scales, spec.block_sizes)[:, None] * core
+        if spec.sv_mode == "orthonormal":
+            return householder_qr(core).q
+        return core

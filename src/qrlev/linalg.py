@@ -13,9 +13,10 @@ keeps its bits those of numpy's own QR at one BLAS thread
 arguments scipy's solve_triangular passes, so its bits are that
 function's.
 The entry points (acceptance.run_all, experiments.run_figure,
-cli.main) run inside blas_threads(1), which holds numpy's and scipy's
-OpenBLAS pools at one thread: at the lab's n <= 100 a second thread
-adds no speed, and the two pools do not contend.
+cli.main, generate.generate) run inside blas_threads(1), which holds
+numpy's and scipy's OpenBLAS pools at one thread: at the lab's
+n <= 100 a second thread adds no speed, and the two pools do not
+contend.
 
 The SVD's n x n step runs in LAPACK's dgejsv, the preconditioned
 one-sided Jacobi SVD of Drmač and Veselić; a nonzero info from it

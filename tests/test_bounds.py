@@ -24,6 +24,7 @@ from qrlev.bounds import (
     observed,
     qr_q_difference,
     rdot_rinv,
+    row_scaling_eta,
     sandwich_holds,
 )
 from qrlev.generate import gaussian_matrix, random_orthonormal, randsvd_matrix
@@ -256,6 +257,26 @@ class TestBoundT34:
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             bound_t3_4(np.array([-1e-8]), 25, kappa2=1.0)
+
+    def test_empty_eta_rejected(self):
+        with pytest.raises(ValueError, match="^eta must be nonempty$"):
+            bound_t3_4(np.array([]), 25, kappa2=1.0)
+
+
+class TestRowScalingEta:
+    A = np.ones((3, 2))
+
+    def test_nan_in_a_rejected(self):
+        a = self.A.copy()
+        a[1, 0] = np.nan
+        with pytest.raises(ValueError, match="^a contains non-finite entries$"):
+            row_scaling_eta(a, np.ones((3, 2)))
+
+    def test_nested_list_a_accepted(self):
+        delta = np.array([1e-8, 2e-8, 3e-8])[:, None] * self.A
+        np.testing.assert_array_equal(
+            row_scaling_eta(self.A.tolist(), delta), [1e-8, 2e-8, 3e-8]
+        )
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qrlev import generate as generate_module
 from qrlev.generate import (
     STEPPED_BLOCKS,
     GenSpec,
@@ -14,7 +15,7 @@ from qrlev.generate import (
     stepped_spec,
 )
 from qrlev.leverage import leverage_from_basis, leverage_qr, matrix_stats
-from qrlev.linalg import gram_residual, jacobi_svd
+from qrlev.linalg import blas_threads, gram_residual, jacobi_svd
 
 BLOCKS = (slice(0, 250), slice(250, 500), slice(500, 750), slice(750, 1000))
 
@@ -175,3 +176,40 @@ class TestGenSpec:
     def test_plain_gaussian_not_orthonormalized(self):
         a = generate(GenSpec(m=30, n=4), 5)
         assert gram_residual(a) > 1e-6
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_runs_at_one_blas_thread_and_restores(self, monkeypatch, two_blas_threads, fails):
+        seen = []
+        original = generate_module.householder_qr
+
+        def probe(a):
+            seen.append([pool.get() for pool in two_blas_threads])
+            if fails:
+                raise RuntimeError("probe failed")
+            return original(a)
+
+        monkeypatch.setattr(generate_module, "householder_qr", probe)
+        spec = GenSpec(m=8, n=3, sv_mode="orthonormal")
+        if fails:
+            with pytest.raises(RuntimeError, match="probe failed"):
+                generate(spec, 42)
+        else:
+            assert gram_residual(generate(spec, 42)) <= 1e-14
+        assert seen == [[1] * len(two_blas_threads)]
+        assert [pool.get() for pool in two_blas_threads] == [2] * len(two_blas_threads)
+
+    # At 40000 x 25 the QR and the product round differently at two
+    # threads than at one; at 1000 to 20000 rows they do not.
+    @pytest.mark.parametrize(
+        "spec",
+        [GenSpec(m=40000, n=25, kappa=1e6, sv_mode="randsvd"),
+         GenSpec(m=40000, n=25, sv_mode="orthonormal")],
+        ids=["randsvd", "orthonormal"],
+    )
+    def test_same_bits_at_two_threads_as_at_one(self, two_blas_threads, spec):
+        at_two = generate(spec, 42)
+        with blas_threads(1):
+            at_one = generate(spec, 42)
+        assert at_two.tobytes() == at_one.tobytes()

@@ -125,11 +125,12 @@ def test_import_skips_scipy_linalg_and_shares_its_lapack():
     assert probe["same"] == dict.fromkeys(LAPACK_ROUTINES, True)
 
 
-# The three entry points, as (module, enclosing function).
+# The entry points, as (module, enclosing function).
 BLAS_THREADS_ENTRY_POINTS = [
     ("acceptance", "run_all"),
     ("cli", "main"),
     ("experiments", "run_figure"),
+    ("generate", "generate"),
 ]
 
 
