@@ -54,11 +54,18 @@ BOUND_NAMES = {
 }
 
 
+def _seed(text):
+    """The --seed type: numpy takes only nonnegative integer seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser, *flags, required=(), out_default=None, seed_default=0):
     """Add the shared flags a subcommand reads; each is spelled only here."""
     specs = {
         "--seed": dict(
-            type=int, default=seed_default, help="RNG seed (default %(default)s)"
+            type=_seed, default=seed_default, help="RNG seed (default %(default)s)"
         ),
         "--out": dict(default=out_default, help="output path or directory"),
         "--config": dict(help="JSON config file"),

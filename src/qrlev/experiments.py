@@ -366,42 +366,18 @@ def emit_csv(panels, path):
         fh.write("".join(lines))
 
 
-def _points(values):
-    """Indices and values of the defined (non-NaN) entries."""
-    defined = ~np.isnan(values)
-    return np.flatnonzero(defined), values[defined]
-
-
 def emit_svg(panels, path, title=""):
     """
     Render panels as a grid: leverage-score panels as green scatters,
     difference panels as blue scatters under the red bound curve. One
     self-contained SVG file.
     """
-    plots = []
-    for p in panels:
-        if p.theorem == SCORES_TAG:
-            index, values = _points(p.ell)
-            plots.append(
-                svgplot.Panel(
-                    title=f"panel {p.name}: leverage scores",
-                    index=index,
-                    values=values,
-                    point_class="pt-lev",
-                )
-            )
-        else:
-            index, values = _points(p.observed)
-            bound_index, bound_values = _points(p.bound)
-            plots.append(
-                svgplot.Panel(
-                    title=f"panel {p.name}: rel diff vs {p.theorem}",
-                    index=index,
-                    values=values,
-                    bound_index=bound_index,
-                    bound_values=bound_values,
-                )
-            )
+    plots = [
+        svgplot.Panel(f"panel {p.name}: leverage scores", p.ell)
+        if p.theorem == SCORES_TAG
+        else svgplot.Panel(f"panel {p.name}: rel diff vs {p.theorem}", p.observed, p.bound)
+        for p in panels
+    ]
     with open(path, "w", newline="\n") as fh:
         fh.write(svgplot.render(plots, title=title))
 

@@ -14,7 +14,7 @@ The building blocks random_orthonormal and randsvd_matrix run at
 their caller's count; gaussian_matrix makes no BLAS call.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import accumulate
 
 import numpy as np
@@ -71,6 +71,8 @@ class GenSpec:
             raise ValueError("dimensions must be positive")
         if len(self.block_sizes) != len(self.block_scales):
             raise ValueError("block_sizes and block_scales must have equal length")
+        if any(s < 0 for s in self.block_sizes):
+            raise ValueError("block_sizes must be nonnegative")
         if self.block_sizes and sum(self.block_sizes) != self.m:
             raise ValueError("block_sizes must sum to m")
         if any(s <= 0 for s in self.block_scales):
@@ -96,10 +98,13 @@ class GenSpec:
         for f in fields(cls):
             if f.name in d:
                 check_json_type(d[f.name], f.type, f"GenSpec: {f.name}")
-        try:
-            return cls(**d)
-        except TypeError as exc:  # a missing field
-            raise ValueError(f"GenSpec: {exc}") from exc
+        missing = [
+            repr(f.name) for f in fields(cls)
+            if f.name not in d and f.default is f.default_factory is MISSING
+        ]
+        if missing:
+            raise ValueError(f"GenSpec: missing {', '.join(missing)}")
+        return cls(**d)
 
 
 def gaussian_matrix(m, n, rng):

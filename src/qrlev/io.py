@@ -74,8 +74,8 @@ def write_matrix(a, path):
 def read_matrix(path):
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2 or not all(x.isdigit() for x in header):
-            raise ValueError(f"{path}: malformed header, expected 'm n'")
+        if len(header) != 2 or not all(x.isdecimal() and int(x) > 0 for x in header):
+            raise ValueError(f"{path}: malformed header, expected positive 'm n'")
         m, n = int(header[0]), int(header[1])
         try:
             data = np.loadtxt(fh, dtype=np.float64, ndmin=2)

@@ -1,16 +1,17 @@
 """
 Minimal self-contained SVG emitter for the figure experiments.
 
-Each panel is a log-scale scatter of per-index values with an
-optional bound curve drawn above it. No external assets, no plotting
-library: the output is a single valid XML document. Values of zero
-(or below the floor), NaN and -inf are clipped to the plot floor,
-since a log axis cannot display them; +inf is drawn at the top of the
-log range, a decade above the largest finite value.
+Each panel is a log-scale scatter of a per-index column with an
+optional bound column drawn as a curve above it. No external assets,
+no plotting library: the output is a single valid XML document. NaN
+entries are undefined and not drawn. Values of zero (or below the
+floor) and -inf are clipped to the plot floor, since a log axis cannot
+display them; +inf is drawn at the top of the log range, a decade
+above the largest finite value.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +30,23 @@ PANELS_PER_ROW = 3
 @dataclass
 class Panel:
     """
-    One scatter panel: values[k] is drawn at index[k], and the bound
-    curve joins (bound_index[k], bound_values[k]) in the order given,
-    so bound_index should increase.
+    One scatter panel of per-index columns: values[j] is drawn at index
+    j, and the bound curve joins the defined bound[j] in index order.
+    NaN entries are not drawn. bound None marks a leverage-score panel,
+    drawn as green points with no curve; a panel with a bound column
+    draws blue points under it, even when every bound entry is NaN.
     """
 
     title: str
-    index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-    values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    bound_index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-    bound_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    point_class: str = "pt-rel"
+    values: np.ndarray
+    bound: np.ndarray | None = None
+
+
+def _defined(column):
+    """Indices and values of the defined (non-NaN) entries; None has none."""
+    column = np.asarray([] if column is None else column, dtype=float)
+    defined = ~np.isnan(column)
+    return np.flatnonzero(defined), column[defined]
 
 
 def _clip(values):
@@ -57,13 +64,13 @@ def _log10(values, top):
     return np.where(values == np.inf, top, logs)
 
 
-def _log_range(panels):
-    raw = [c for p in panels for c in (p.values, p.bound_values) if c.size]
+def _log_range(columns):
+    raw = [values for _, values in columns if values.size]
     if not raw:
         return -1.0, 1.0
-    columns = [_clip(c) for c in raw]
-    lo = math.floor(math.log10(min(c.min() for c in columns)))
-    hi = math.ceil(math.log10(max(c.max() for c in columns)))
+    clipped = [_clip(c) for c in raw]
+    lo = math.floor(math.log10(min(c.min() for c in clipped)))
+    hi = math.ceil(math.log10(max(c.max() for c in clipped)))
     if lo == hi:
         lo -= 1
         hi += 1
@@ -73,8 +80,8 @@ def _log_range(panels):
     return float(lo), float(hi)
 
 
-def _x_range(panels):
-    ends = [int(j.max()) for p in panels for j in (p.index, p.bound_index) if j.size]
+def _x_range(columns):
+    ends = [int(index.max()) for index, _ in columns if index.size]
     return 0.0, float(max([1, *ends]))
 
 
@@ -86,8 +93,11 @@ def render(panels, title=""):
     width = cols * PANEL_W
     height = rows * PANEL_H + (16 if title else 0)
 
-    ylo, yhi = _log_range(panels)
-    xlo, xhi = _x_range(panels)
+    # Each panel's points and curve, as (index, values) of its defined entries.
+    selected = [(_defined(p.values), _defined(p.bound)) for p in panels]
+    columns = [column for pair in selected for column in pair]
+    ylo, yhi = _log_range(columns)
+    xlo, xhi = _x_range(columns)
 
     plot_w = PANEL_W - MARGIN_L - MARGIN_R
     plot_h = PANEL_H - MARGIN_T - MARGIN_B
@@ -133,7 +143,7 @@ def render(panels, title=""):
         grid.append(f'<text x="2" y="{yp + 3:.2f}">1e{level}</text>')
 
     y_off0 = 16 if title else 0
-    for idx, panel in enumerate(panels):
+    for idx, (panel, (points, curve)) in enumerate(zip(panels, selected)):
         gx = (idx % cols) * PANEL_W
         gy = (idx // cols) * PANEL_H + y_off0
         out.append(f'<g transform="translate({gx},{gy})">')
@@ -149,16 +159,13 @@ def render(panels, title=""):
         out.append(
             f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{PANEL_H - 8}">index j</text>'
         )
-        cls = panel.point_class
+        cls = "pt-lev" if panel.bound is None else "pt-rel"
         out.extend(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.4" class="{cls}"/>'
-            for x, y in pixels(panel.index, panel.values)
+            for x, y in pixels(*points)
         )
-        if panel.bound_index.size:
-            pts = " ".join(
-                f"{x:.2f},{y:.2f}"
-                for x, y in pixels(panel.bound_index, panel.bound_values)
-            )
+        if curve[0].size:
+            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in pixels(*curve))
             out.append(f'<polyline points="{pts}" class="bound"/>')
         out.append("</g>")
 

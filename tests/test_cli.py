@@ -648,7 +648,7 @@ class TestBadMatrixFiles:
         assert run(["bounds", "t2", "--matrix", str(mat), "--delta", str(dlt)]) == 1
         assert f"{dlt} contains non-finite entries" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("header", ["banana", "5", "5 x", "5 2 1"])
+    @pytest.mark.parametrize("header", ["banana", "5", "5 x", "5 2 1", "0 2", "2 0"])
     def test_malformed_header(self, tmp_path, capsys, header):
         mat = tmp_path / "a.txt"
         mat.write_text(header + "\n1 0\n0 1\n")
@@ -745,6 +745,23 @@ class TestUsage:
     )
     def test_seed_default(self, argv, seed):
         assert cli.build_parser().parse_args(argv).seed == seed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--preset", "stepped", "--seed", "-1"],
+            ["perturb", "a.txt", "--config", "c.json", "--seed", "-3"],
+            ["figure", "1", "--seed", "-1"],
+            ["check", "--seed", "-1"],
+            ["check", "--seed", "x"],
+        ],
+    )
+    def test_bad_seed_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be a nonnegative integer, got '{argv[-1]}'" in err
 
 
 class TestBlasThreads:

@@ -608,11 +608,15 @@ class TestSVG:
 
     def test_inf_drawn_at_the_top_of_the_range(self):
         values = np.array([np.inf, 1e-8, 0.0, np.nan, -np.inf])
-        svg = svgplot.render([svgplot.Panel("t", np.arange(5), values)])
+        svg = svgplot.render([svgplot.Panel("t", values)])
         circles = ET.fromstring(svg).findall(".//{http://www.w3.org/2000/svg}circle")
-        inf, finite, zero, nan, minus_inf = (float(c.attrib["cy"]) for c in circles)
+        # The x range ends at index 4; index 3, the NaN, draws no circle.
+        plot_w = PANEL_W - MARGIN_L - MARGIN_R
+        xs = [float(f"{MARGIN_L + j / 4 * plot_w:.2f}") for j in (0, 1, 2, 4)]
+        assert [float(c.attrib["cx"]) for c in circles] == xs
+        inf, finite, zero, minus_inf = (float(c.attrib["cy"]) for c in circles)
         assert inf == MARGIN_T < finite < zero
-        assert nan == minus_inf == zero  # these stay at the floor
+        assert minus_inf == zero  # -inf stays at the floor
 
 
 class TestReferenceEmitters:

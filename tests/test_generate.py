@@ -129,6 +129,10 @@ class TestGenSpec:
         with pytest.raises(ValueError, match="sum to m"):
             GenSpec(m=10, n=2, block_sizes=[4, 4], block_scales=[1.0, 2.0])
 
+    def test_zero_block_size_accepted(self):
+        spec = GenSpec(m=5, n=2, block_sizes=[0, 5], block_scales=[3.0, 2.0])
+        assert generate(spec, 1).shape == (5, 2)
+
     @pytest.mark.parametrize(
         ("fields", "message"),
         [
@@ -141,6 +145,8 @@ class TestGenSpec:
             ({"m": 8, "n": 2, "kappa": 0.5, "sv_mode": "randsvd"},
              "kappa must be at least 1"),
             ({"m": 2, "n": 4, "sv_mode": "orthonormal"}, "needs m >= n"),
+            ({"m": 5, "n": 2, "block_sizes": [-1, 6], "block_scales": [1.0, 2.0]},
+             "block_sizes must be nonnegative"),
         ],
     )
     def test_invalid_field_rejected(self, fields, message):
