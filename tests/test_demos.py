@@ -27,6 +27,13 @@ def test_demo_exits_zero(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_leverage_basics_prints_the_committed_report():
+    proc = run_demo(ROOT / "demos" / "01_leverage_basics.py", ROOT)
+    assert proc.returncode == 0, proc.stderr
+    golden = ROOT / "tests" / "golden" / "demo01_leverage_basics.txt"
+    assert proc.stdout == golden.read_text()
+
+
 def test_bounds_tour_prints_the_committed_report():
     proc = run_demo(ROOT / "demos" / "03_bounds_tour.py", ROOT)
     assert proc.returncode == 0, proc.stderr
