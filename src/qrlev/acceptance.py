@@ -83,8 +83,7 @@ Verdict = namedtuple("Verdict", ("passed", "detail", "extra"), defaults=(None,))
 
 
 def _rngs(seed, label, count):
-    ss = np.random.SeedSequence([seed, zlib.crc32(label.encode())])
-    return [np.random.default_rng(c) for c in ss.spawn(count)]
+    return np.random.default_rng([seed, zlib.crc32(label.encode())]).spawn(count)
 
 
 def _figure(ctx, figure):
@@ -417,20 +416,17 @@ def criterion_13(ctx):
 def _ensemble_item(a, rng):
     """
     Criterion 1 and 2 statistics of one ensemble matrix from a single
-    factorization: the QR scores come from q, the SVD scores from
-    q @ svd_r.u (bit for bit what leverage_svd computes), and the
-    basis-rotation check reuses q. Returns (lev_q, oracle_diff,
+    factorization: the QR scores f.lev (what leverage_qr returns), the
+    SVD scores f.lev_svd (what leverage_svd returns), and the
+    basis-rotation check on f.q. Returns (lev_q, oracle_diff,
     basis_diff, n).
     """
     n = a.shape[1]
     f = full_rank_qr(a)
-    lev_q = leverage_from_basis(f.q)
-    u = f.q @ f.svd_r.u
-    lev_s = np.einsum("ij,ij->i", u, u)
-    oracle_diff = float(np.max(np.abs(lev_q - lev_s)))
+    oracle_diff = float(np.max(np.abs(f.lev - f.lev_svd)))
     w = random_orthonormal(n, n, rng)
-    basis_diff = float(np.max(np.abs(leverage_from_basis(f.q @ w) - lev_q)))
-    return lev_q, oracle_diff, basis_diff, n
+    basis_diff = float(np.max(np.abs(leverage_from_basis(f.q @ w) - f.lev)))
+    return f.lev, oracle_diff, basis_diff, n
 
 
 def _build_ensemble(seed):

@@ -52,7 +52,7 @@ from .generate import (
     stepped_orthonormal,
 )
 from .io import format_float
-from .leverage import full_rank_qr, leverage_from_basis, leverage_qr, matrix_stats
+from .leverage import full_rank_qr, leverage_qr, matrix_stats
 from .linalg import blas_threads
 from .perturb import (
     as_delta,
@@ -123,18 +123,15 @@ class Evaluation:
     What the bounds read of one perturbation delta of the matrix a that
     f, its Factorization from full_rank_qr, holds. Each input (f_tilde,
     the Factorization of a + delta, and what an evaluator in
-    bounds.EVALUATORS reads: lev, lev_tilde, stats, angles, metrics,
-    eta, t2) is computed on first read, at most once, unless the caller
-    passes it in by name; any other name raises TypeError. delta is
-    checked on construction (perturb.as_delta): a delta that is not finite
-    or not of f.a's shape raises ValueError. The runners pass lev in,
-    so that the panels of one matrix share one array, which emit_csv
-    formats once.
+    bounds.EVALUATORS reads: lev, stats, angles, metrics, eta, t2) is
+    computed on first read, at most once, unless the caller passes it in
+    by name; any other name raises TypeError. A panel's perturbed scores
+    are f_tilde.lev. delta is checked on construction (perturb.as_delta):
+    a delta that is not finite or not of f.a's shape raises ValueError.
     """
 
     f_tilde = cached_property(lambda self: full_rank_qr(self.f.a + self.delta))
-    lev = cached_property(lambda self: leverage_from_basis(self.f.q))
-    lev_tilde = cached_property(lambda self: leverage_from_basis(self.f_tilde.q))
+    lev = cached_property(lambda self: self.f.lev)
     stats = cached_property(lambda self: self.f.stats)
     angles = cached_property(lambda self: principal_angles(self.f.q, self.f_tilde.q))
     metrics = cached_property(lambda self: measure(self.f, self.delta))
@@ -152,12 +149,7 @@ class Evaluation:
     def panel(self, name, tag):
         """The FigurePanel called name under the bound of theorem tag."""
         report = EVALUATORS[tag](self)
-        return FigurePanel.from_report(name, self.lev, self.lev_tilde, report)
-
-
-def _spawn_rngs(seed, count):
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.default_rng(c) for c in children]
+        return FigurePanel.from_report(name, self.lev, self.f_tilde.lev, report)
 
 
 def run_fig1(seed):
@@ -167,16 +159,15 @@ def run_fig1(seed):
     q_tilde, not from a + (q_tilde - a) and f.q.
     """
     targets = (1e-8, 1e-6, 1e-4)
-    rngs = _spawn_rngs(seed, 1 + len(targets))
+    rngs = np.random.default_rng(seed).spawn(1 + len(targets))
     a = stepped_orthonormal(rngs[0])
     f = full_rank_qr(a)
-    lev = leverage_from_basis(f.q)
-    panels = [FigurePanel.scores("a", lev)]
+    panels = [FigurePanel.scores("a", f.lev)]
     for k, target in enumerate(targets):
         panel = chr(ord("b") + k)
         q_tilde = rotation_perturbation(a, target, rngs[1 + k])
         ev = Evaluation(
-            f, q_tilde - a, lev=lev, angles=principal_angles(a, q_tilde),
+            f, q_tilde - a, angles=principal_angles(a, q_tilde),
             f_tilde=full_rank_qr(q_tilde),
         )
         logger.info(
@@ -191,7 +182,7 @@ def run_fig1(seed):
 def run_fig2(seed):
     """Two-norm Gaussian perturbations of both stepped matrices."""
     eps = 1e-8
-    rngs = _spawn_rngs(seed, 4)
+    rngs = np.random.default_rng(seed).spawn(4)
     mats = [
         ("a", "c", "e", stepped_orthonormal(rngs[0]), rngs[2]),
         ("b", "d", "f", stepped_illconditioned(rngs[1]), rngs[3]),
@@ -220,15 +211,14 @@ def run_fig2(seed):
 def run_fig3(seed):
     """Frobenius Gaussian perturbations at two magnitudes."""
     eps_fs = (1e-8, 1e-5)
-    rngs = _spawn_rngs(seed, 1 + len(eps_fs))
+    rngs = np.random.default_rng(seed).spawn(1 + len(eps_fs))
     a = stepped_orthonormal(rngs[0])
     f = full_rank_qr(a)
-    lev = leverage_from_basis(f.q)
     panels = []
     for k, eps_f in enumerate(eps_fs):
         panel = chr(ord("a") + k)
         delta = normwise_perturbation(a, eps_f, "fro", rngs[1 + k])
-        ev = Evaluation(f, delta, lev=lev)
+        ev = Evaluation(f, delta)
         logger.info(
             "fig3 panel %s: kappa2 %.3e, eps_fro %.3e",
             panel, ev.stats.kappa2, ev.metrics.eps_fro,
@@ -249,10 +239,9 @@ def fig4_panels(seed, tags):
     panel, and A is factored once.
     """
     eps_f = 1e-8
-    rngs = _spawn_rngs(seed, 3)
+    rngs = np.random.default_rng(seed).spawn(3)
     a = stepped_orthonormal(rngs[0])
     f = full_rank_qr(a)
-    lev = leverage_from_basis(f.q)
 
     rows = FIG4_ROWS
     deltas = [
@@ -261,7 +250,7 @@ def fig4_panels(seed, tags):
     ]
     per_tag = [[] for _ in tags]
     for panel, delta in deltas:
-        ev = Evaluation(f, delta, lev=lev)
+        ev = Evaluation(f, delta)
         logger.info(
             "fig4 panel %s: eps_fro %.3e, max eps_row %.3e",
             panel, ev.metrics.eps_fro, np.nanmax(ev.metrics.eps_row),
@@ -281,7 +270,7 @@ def run_fig5(seed):
     Componentwise row-scaled perturbations on both matrices. The bound
     reads the class eta = 1e-8, not the measured |d_j| <= eta.
     """
-    rngs = _spawn_rngs(seed, 4)
+    rngs = np.random.default_rng(seed).spawn(4)
     mats = [
         ("a", stepped_orthonormal(rngs[0]), rngs[2]),
         ("b", stepped_illconditioned(rngs[1]), rngs[3]),

@@ -36,13 +36,6 @@ _EDGES = (0, *accumulate(STEPPED_BLOCK_SIZES))
 STEPPED_BLOCKS = tuple(slice(lo, hi) for lo, hi in zip(_EDGES, _EDGES[1:]))
 
 
-def make_rng(seed_or_rng):
-    """Accept an integer seed or a ready Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 @dataclass
 class GenSpec:
     """
@@ -114,7 +107,7 @@ def gaussian_matrix(m, n, rng):
     """
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
-    return make_rng(rng).standard_normal((m, n))
+    return np.random.default_rng(rng).standard_normal((m, n))
 
 
 def random_orthonormal(m, n, rng):
@@ -137,7 +130,7 @@ def randsvd_matrix(m, n, kappa, rng):
     """
     if kappa < 1.0:
         raise ValueError("kappa must be at least 1")
-    rng = make_rng(rng)
+    rng = np.random.default_rng(rng)  # one stream for both factors
     k = min(m, n)
     if k == 1:
         sigma = np.ones(1)
@@ -199,7 +192,6 @@ def generate(spec, rng):
     BLAS thread (linalg.blas_threads): the same seed gives the same
     bits at any thread count.
     """
-    rng = make_rng(rng)
     with blas_threads(1):
         if spec.sv_mode == "randsvd":
             core = randsvd_matrix(spec.m, spec.n, spec.kappa, rng)

@@ -10,6 +10,7 @@ dependencies.
 
 import json
 import types
+from itertools import chain
 from typing import get_args, get_origin
 
 import numpy as np
@@ -77,8 +78,14 @@ def read_matrix(path):
         if len(header) != 2 or not all(x.isdecimal() and int(x) > 0 for x in header):
             raise ValueError(f"{path}: malformed header, expected positive 'm n'")
         m, n = int(header[0]), int(header[1])
+        # The data rows, streamed, without the blank and comment lines
+        # loadtxt skips. With none, loadtxt would warn and return 0 x 1.
+        rows = (line for line in fh if line.split("#", 1)[0].strip())
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: header promises {m}x{n}, all {m} rows are missing")
         try:
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+            data = np.loadtxt(chain([first], rows), dtype=np.float64, ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     if data.shape != (m, n):

@@ -6,15 +6,16 @@ The leverage score of row j is the squared two-norm of row j of any
 orthonormal basis for the column space. Scores lie in [0, 1] and sum
 to the column count. full_rank_qr factors a matrix once (one
 Householder QR a = q r, one SVD of r by LAPACK's one-sided Jacobi
-dgejsv, one rank check) into a Factorization that callers pass on. The
-QR route reads the scores from q, the SVD route from the left singular
-vectors q @ u_r, and Factorization.stats the singular values of r,
-which are those of a. The SVD route shares the QR, so its agreement
-with the QR route checks the dgejsv step, not the range of Q.
+dgejsv, one rank check) into a Factorization that callers pass on. Its
+lev reads the scores from q, its lev_svd from the left singular vectors
+q @ u_r, and its stats the singular values of r, which are those of a.
+The SVD route shares the QR, so its agreement with the QR route checks
+the dgejsv step, not the range of Q.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +46,21 @@ class MatrixStats:
 
 @dataclass(frozen=True)
 class Factorization:
-    """A full-rank a = q r from full_rank_qr, with the SVD of r."""
+    """
+    A full-rank a = q r from full_rank_qr, with the SVD of r. lev and
+    lev_svd are computed on first read and kept, so every reader of one
+    Factorization shares one array.
+    """
 
     a: np.ndarray
     q: np.ndarray
     r: np.ndarray
     svd_r: SvdResult  # jacobi_svd(r): its sigma are a's singular values
+
+    # The QR route's scores, from q, and the SVD route's, from the left
+    # singular vectors q @ svd_r.u, which share the QR.
+    lev = cached_property(lambda self: leverage_from_basis(self.q))
+    lev_svd = cached_property(lambda self: _squared_row_norms(self.q @ self.svd_r.u))
 
     @property
     def stats(self):
@@ -80,7 +90,11 @@ def leverage_from_basis(q):
     q = check_orthonormal(q, BASIS_TOL, "basis")
     if q.shape[0] == q.shape[1]:
         return np.ones(q.shape[0])
-    return np.einsum("ij,ij->i", q, q)
+    return _squared_row_norms(q)
+
+
+def _squared_row_norms(u):
+    return np.einsum("ij,ij->i", u, u)
 
 
 def full_rank_qr(a):
@@ -125,7 +139,7 @@ def leverage_qr(a):
     rank deficiency raises RankDeficiencyError carrying the
     sigma_min/sigma_max ratio.
     """
-    return leverage_from_basis(full_rank_qr(a).q)
+    return full_rank_qr(a).lev
 
 
 def leverage_svd(a):
@@ -136,9 +150,7 @@ def leverage_svd(a):
     the same full_rank_qr, so this is not an independent check of the
     QR's range.
     """
-    f = full_rank_qr(a)
-    u = f.q @ f.svd_r.u
-    return np.einsum("ij,ij->i", u, u)
+    return full_rank_qr(a).lev_svd
 
 
 def matrix_stats(a):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import make_rng
+from .generate import random_orthonormal
 from .io import check_json_type
 from .linalg import (
     BASIS_TOL,
@@ -98,10 +98,10 @@ def rotation_perturbation(q, target_sin, rng):
         )
     if target_sin == 0.0:
         return q.copy()
-    rng = make_rng(rng)
+    rng = np.random.default_rng(rng)  # one stream for both draws
     g = rng.standard_normal((m, n))
     q_perp = householder_qr(_project_out(q, g)).q
-    w = householder_qr(rng.standard_normal((n, n))).q
+    w = random_orthonormal(n, n, rng)
     theta = np.arcsin(target_sin)
     return q * np.cos(theta) + (q_perp @ w) * target_sin
 
@@ -117,7 +117,7 @@ def normwise_perturbation(a, eps, norm, rng):
         raise ValueError(f"norm must be 'two' or 'fro', got {norm!r}")
     if eps == 0.0:
         return np.zeros_like(a)
-    g = make_rng(rng).standard_normal(a.shape)
+    g = np.random.default_rng(rng).standard_normal(a.shape)
     if norm == "two":
         return eps * two_norm(a) * g / two_norm(g)
     return eps * fro_norm(a) * g / fro_norm(g)
@@ -139,7 +139,7 @@ def row_subset_perturbation(a, row_start, row_stop, eps_f, rng):
     delta = np.zeros_like(a)
     if eps_f == 0.0:
         return delta
-    g = make_rng(rng).standard_normal((row_stop - row_start, a.shape[1]))
+    g = np.random.default_rng(rng).standard_normal((row_stop - row_start, a.shape[1]))
     delta[row_start:row_stop] = g
     delta *= eps_f * fro_norm(a) / fro_norm(delta)
     return delta
@@ -173,7 +173,7 @@ def componentwise_row_perturbation(a, eta, rng):
     eta = as_magnitude(eta, "eta")
     if eta.ndim > 1 or eta.size not in (1, m):
         raise ValueError(f"eta has shape {eta.shape}, the matrix {m} rows")
-    zeta = make_rng(rng).uniform(-1.0, 1.0, m)
+    zeta = np.random.default_rng(rng).uniform(-1.0, 1.0, m)
     return (zeta * eta)[:, None] * a
 
 
@@ -203,7 +203,6 @@ def make_perturbation(recipe, a, rng):
         raise ValueError(f"{kind} does not read {', '.join(unread)}")
     for name, expected in fields.items():
         check_json_type(recipe[name], expected, f"{kind} {name}")
-    rng = make_rng(rng)
     if kind == "rotation":
         return rotation_perturbation(a, recipe["target_sin"], rng) - a
     if kind == "normwise_two":

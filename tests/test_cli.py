@@ -655,6 +655,17 @@ class TestBadMatrixFiles:
         assert run(["levscores", str(mat)]) == 1
         assert f"{mat}: malformed header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body", ["", "\n  \n# no rows\n\n"], ids=["header only", "blank and comments"]
+    )
+    def test_header_without_rows(self, tmp_path, capsys, body):
+        mat = tmp_path / "a.txt"
+        mat.write_text("3 2\n" + body)
+        assert run(["levscores", str(mat)]) == 1
+        err = capsys.readouterr().err
+        assert f"{mat}: header promises 3x2, all 3 rows are missing" in err
+        assert "0x1" not in err
+
     def test_bad_entry(self, tmp_path, capsys):
         mat = tmp_path / "a.txt"
         mat.write_text("2 2\n1 0\n0 one\n")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import zlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from qrlev import bounds, experiments, svgplot
+from qrlev.acceptance import _rngs
 from qrlev.bounds import (
     EXACT_ABS_SLACK,
     EXACT_REL_SLACK,
@@ -324,6 +326,30 @@ def assert_emitters_match_reference(tmp_path, panels, title):
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
+def _spawned_reference(entropy, count):
+    """
+    The sub-streams as the figure runners and acceptance._rngs built
+    them before they called Generator.spawn: SeedSequence(entropy)'s
+    children, each through default_rng.
+    """
+    children = np.random.SeedSequence(entropy).spawn(count)
+    return [np.random.default_rng(c) for c in children]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42, 2**40])
+def test_generator_spawn_matches_the_seed_sequence_recipe(seed):
+    entropies = {
+        "int": (seed, np.random.default_rng(seed).spawn(4)),
+        "crc": ([seed, zlib.crc32(b"ensemble")], _rngs(seed, "ensemble", 4)),
+    }
+    for kind, (entropy, got) in entropies.items():
+        want = _spawned_reference(entropy, 4)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert g.bit_generator.state == w.bit_generator.state, (kind, k)
+            raw = g.bit_generator.random_raw(64), w.bit_generator.random_raw(64)
+            assert raw[0].tobytes() == raw[1].tobytes(), (kind, k)
+
+
 class TestConfig:
     def test_unknown_figure(self):
         with pytest.raises(ValueError, match="unknown figure"):
@@ -490,6 +516,15 @@ class TestEvaluation:
         expected = bounds.bound_t3_4(eta, 4, ev.stats.kappa2).per_index_bound
         np.testing.assert_array_equal(ev.panel("b", "T3_4").bound, expected)
 
+
+    def test_evaluations_of_one_factorization_share_its_scores(self):
+        a = np.random.default_rng(1).standard_normal((8, 4))
+        f = full_rank_qr(a)
+        first = Evaluation(f, 1e-8 * np.random.default_rng(2).standard_normal((8, 4)))
+        second = Evaluation(f, 1e-6 * np.random.default_rng(3).standard_normal((8, 4)))
+        assert first.lev is second.lev is f.lev
+        panel = first.panel("a", "T3_1")
+        assert panel.ell is f.lev and panel.ell_tilde is first.f_tilde.lev
 
     def test_both_t2_tags_share_one_bound_t2_call(self, monkeypatch):
         calls = []

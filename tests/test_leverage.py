@@ -157,6 +157,23 @@ class TestEdgeShapes:
         assert np.all(np.isfinite(metrics.eps_row))
         assert 0.0 < metrics.eps_fro < 1e-6
 
+    @pytest.mark.parametrize(
+        ("m", "n"), [(1, 1), (7, 1), (6, 6), (25, 25), (12, 6), (50, 25), (12, 3)]
+    )
+    def test_leverage_functions_read_the_factorization(self, m, n):
+        # n = 1, m = n and m = 2n; at 12 x 3, zero rows among and below
+        # the first n.
+        a = np.random.default_rng(6).standard_normal((m, n))
+        if n == 3:
+            a[[2, 5, 11]] = 0.0
+        f = full_rank_qr(a)
+        assert f.lev is f.lev and f.lev_svd is f.lev_svd
+        assert leverage_qr(a).tobytes() == f.lev.tobytes()
+        assert leverage_svd(a).tobytes() == f.lev_svd.tobytes()
+        u = f.q @ f.svd_r.u
+        assert f.lev_svd.tobytes() == np.einsum("ij,ij->i", u, u).tobytes()
+        assert f.lev.tobytes() == leverage_from_basis(f.q).tobytes()
+
     @pytest.mark.parametrize("rows", [[0], [3, 9], [2, 5, 11]])
     def test_measure_zero_rows_are_nan_exactly_there(self, rows):
         rng = np.random.default_rng(5)

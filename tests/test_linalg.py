@@ -548,9 +548,14 @@ def _longdouble_qr(a):
     Householder QR of a in numpy's longdouble, with diag(r) >= 0: the
     accuracy oracle for householder_qr. Where longdouble is the 80-bit
     format its own error is about 2**11 times below float64's, and its
-    exponent range needs no prescaling for entries near 1e+-200.
+    exponent range needs no prescaling for entries near 1e+-200. The
+    rows are factored in order of decreasing max |a_jk| (a stable
+    sort), which keeps the small scores of graded rows accurate and
+    makes the result independent of the input's row order; q is
+    returned in the caller's row order.
     """
-    r = np.array(a, dtype=np.longdouble)
+    order = np.argsort(-np.max(np.abs(a), axis=1), kind="stable")
+    r = np.array(a, dtype=np.longdouble)[order]
     m, n = r.shape
     vs = []
     for k in range(n):
@@ -571,6 +576,7 @@ def _longdouble_qr(a):
             q[k:, :] -= 2 * np.outer(vs[k], vs[k] @ q[k:, :])
     r = np.triu(r[:n])
     signs = np.where(np.diag(r) < 0, -1, 1)
+    q = q[np.argsort(order)]  # back to the caller's row order
     return q * signs, r * signs[:, None]
 
 
@@ -648,6 +654,17 @@ def test_householder_qr_matches_longdouble_reference(name):
     tol = ((2.0 * np.sqrt(clipped * (1.0 - clipped)) + ke) * ke
            + (2.0 * np.sqrt(clipped) + eps) * eps)
     assert np.all(np.abs(lev - lev_ref) <= tol), name
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_longdouble_reference_ignores_row_order(seed):
+    # Unsorted, the oracle's block-0 scores on these graded rows moved by
+    # 4e-10 (seed 42) and 1e-9 (seed 7) relative under a row permutation.
+    a = stepped_illconditioned(np.random.default_rng(seed))
+    perm = np.random.default_rng(seed).permutation(a.shape[0])
+    lev = np.sum(_longdouble_qr(a)[0] ** 2, axis=1).astype(np.float64)
+    lev_perm = np.sum(_longdouble_qr(a[perm])[0] ** 2, axis=1).astype(np.float64)
+    np.testing.assert_allclose(lev_perm, lev[perm], rtol=1e-13, atol=0.0)
 
 
 # The oracle kernel's relative threshold on off-diagonal Gram entries,
